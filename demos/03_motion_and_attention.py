@@ -9,7 +9,7 @@ from avloc.model import ModelConfig, init_params
 
 cfg = ModelConfig()
 d = cfg.dims
-params = init_params(cfg, seed=0)
+params = init_params(cfg, seed=0).arrays  # name -> array, in table order
 rng = np.random.default_rng(0)
 
 # A hand-built video: segments 0-4 drift (an event), 5-9 repeat one frame (a
@@ -25,11 +25,11 @@ for t in range(5, d.T):
 
 tape = ad.Tape()
 aligned = motion.align_channels(tape.leaf(frames),
-                                tape.leaf(params.motion.align_kernel))
+                                tape.leaf(params["motion.align_kernel"]))
 past, future = motion.past_future_motion(
-    aligned, tape.leaf(params.motion.past_kernel),
-    tape.leaf(params.motion.future_kernel))
-feature = motion.fuse_and_pool(past, future, tape.leaf(params.motion.out_map))
+    aligned, tape.leaf(params["motion.past_kernel"]),
+    tape.leaf(params["motion.future_kernel"]))
+feature = motion.fuse_and_pool(past, future, tape.leaf(params["motion.out_map"]))
 
 print("per-segment motion magnitude (drifting first half, frozen second):")
 for t in range(d.T):
@@ -44,9 +44,9 @@ print("boundary rows are exactly zero:",
 audio = rng.normal(size=(d.T, d.d_a)).astype(np.float32)
 tape2 = ad.Tape()
 feature2 = motion.motion_feature(
-    tape2.leaf(frames), tape2.leaf(params.motion.align_kernel),
-    tape2.leaf(params.motion.past_kernel), tape2.leaf(params.motion.future_kernel),
-    tape2.leaf(params.motion.out_map))
+    tape2.leaf(frames), tape2.leaf(params["motion.align_kernel"]),
+    tape2.leaf(params["motion.past_kernel"]), tape2.leaf(params["motion.future_kernel"]),
+    tape2.leaf(params["motion.out_map"]))
 # the gate weight initializes to zero (uniform attention), so draw a random
 # one here to show how motion concentrates the temporal weights
 gated, weights, _ = attention.motion_guided_audio(
@@ -58,7 +58,7 @@ print("  ", np.round(weights.data[:, 0], 3).tolist())
 tape3 = ad.Tape()
 flat = attention.motion_guided_audio(
     tape3.leaf(audio), tape3.zeros((d.T, d.d_a)),
-    tape3.leaf(params.audio_gate.temporal_weight))
+    tape3.leaf(params["audio_gate.temporal_weight"]))
 expected = 1.5 * (1 + 1 / d.T)
 print(f"zero-motion closed form: output == {expected:.2f} * audio ->",
       bool(np.allclose(flat.data, expected * audio, atol=1e-5)))

@@ -10,36 +10,10 @@ vector per segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from typing import Mapping
 
 from . import autodiff as ad
 from .errors import ShapeError
-
-
-@dataclass
-class AudioGateParams:
-    temporal_weight: np.ndarray  # (d_a, 1)
-
-
-@dataclass
-class VisualGateParams:
-    """Channel and spatial gating weights (d_h is the shared hidden width).
-
-    channel_audio:  (d_a, d_h)   channel_visual: (d_v, d_h)
-    channel_align:  (d_h, d_v)   channel_value:  (d_v, d_v)
-    spatial_audio:  (d_a, d_h)   spatial_visual: (d_v, d_h)
-    spatial_score:  (d_h, 1)
-    """
-
-    channel_audio: np.ndarray
-    channel_visual: np.ndarray
-    channel_align: np.ndarray
-    channel_value: np.ndarray
-    spatial_audio: np.ndarray
-    spatial_visual: np.ndarray
-    spatial_score: np.ndarray
 
 
 def motion_guided_audio(audio: ad.Tensor, motion: ad.Tensor,
@@ -77,53 +51,38 @@ def _per_segment_broadcast(x: ad.Tensor) -> ad.Tensor:
 
 
 def audio_guided_channel(audio_gated: ad.Tensor, visual: ad.Tensor,
-                         p: "VisualGateLeaves") -> ad.Tensor:
+                         p: Mapping[str, ad.Tensor]) -> ad.Tensor:
     """Channel attention: (T, h, w, d_v) visual gated by (T, d_a) audio.
+
+    `p` is the visual_gate group of the model's parameter table.
 
     Audio and visual project into a shared hidden space, joint activity is
     averaged over the grid, mapped back to d_v, and multiplies a linear view
     of the visual features. No biases anywhere, so either stream being zero
     zeroes the output.
     """
-    audio_hidden = ad.relu(ad.matmul(audio_gated, p.channel_audio))       # (T, d_h)
-    visual_hidden = ad.relu(_per_location_map(visual, p.channel_visual))  # (T, h, w, d_h)
+    audio_hidden = ad.relu(ad.matmul(audio_gated, p["channel_audio"]))       # (T, d_h)
+    visual_hidden = ad.relu(_per_location_map(visual, p["channel_visual"]))  # (T, h, w, d_h)
     joint = ad.mul(_per_segment_broadcast(audio_hidden), visual_hidden)
-    gate = ad.matmul(ad.avg_spatial(joint), p.channel_align)              # (T, d_v)
-    value = _per_location_map(visual, p.channel_value)
+    gate = ad.matmul(ad.avg_spatial(joint), p["channel_align"])              # (T, d_v)
+    value = _per_location_map(visual, p["channel_value"])
     return ad.mul(_per_segment_broadcast(gate), value)
 
 
 def audio_guided_spatial(audio_gated: ad.Tensor, visual_gated: ad.Tensor,
-                         p: "VisualGateLeaves") -> ad.Tensor:
+                         p: Mapping[str, ad.Tensor]) -> ad.Tensor:
     """Spatial attention: collapse (T, h, w, d_v) to (T, d_v).
+
+    `p` is the visual_gate group of the model's parameter table.
 
     Each location gets a scalar tanh score from the joint hidden activity;
     the output is the score-weighted sum of the gated visual features over
     the grid.
     """
     _, h, w, _ = visual_gated.shape
-    audio_hidden = ad.relu(ad.matmul(audio_gated, p.spatial_audio))
-    visual_hidden = ad.relu(_per_location_map(visual_gated, p.spatial_visual))
-    joint = ad.mul(_per_segment_broadcast(audio_hidden), visual_hidden)   # (T, h, w, d_h)
-    scores = ad.tanh(_per_location_map(joint, p.spatial_score))           # (T, h, w, 1)
+    audio_hidden = ad.relu(ad.matmul(audio_gated, p["spatial_audio"]))
+    visual_hidden = ad.relu(_per_location_map(visual_gated, p["spatial_visual"]))
+    joint = ad.mul(_per_segment_broadcast(audio_hidden), visual_hidden)  # (T, h, w, d_h)
+    scores = ad.tanh(_per_location_map(joint, p["spatial_score"]))       # (T, h, w, 1)
     weighted = ad.mul(scores, visual_gated)
     return ad.scale(ad.avg_spatial(weighted), h * w)  # spatial sum
-
-
-@dataclass
-class VisualGateLeaves:
-    """VisualGateParams registered on a tape."""
-
-    channel_audio: ad.Tensor
-    channel_visual: ad.Tensor
-    channel_align: ad.Tensor
-    channel_value: ad.Tensor
-    spatial_audio: ad.Tensor
-    spatial_visual: ad.Tensor
-    spatial_score: ad.Tensor
-
-    @classmethod
-    def register(cls, tape: ad.Tape, params: VisualGateParams) -> "VisualGateLeaves":
-        return cls(*(tape.leaf(getattr(params, f)) for f in (
-            "channel_audio", "channel_visual", "channel_align", "channel_value",
-            "spatial_audio", "spatial_visual", "spatial_score")))

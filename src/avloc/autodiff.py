@@ -32,7 +32,7 @@ class Tensor:
     def __init__(self, data: np.ndarray, tape: "Tape", node_id: int):
         if data.ndim < 1 or data.ndim > MAX_RANK:
             raise ShapeError(f"tensors carry 1..{MAX_RANK} axes, got shape {data.shape}")
-        if any(n < 1 for n in data.shape):
+        if 0 in data.shape:
             raise ShapeError(f"all extents must be >= 1, got shape {data.shape}")
         data.setflags(write=False)
         self.data = data
@@ -73,7 +73,7 @@ class Tape:
 
     def _record(self, data, input_ids: tuple[int, ...], backward) -> Tensor:
         data = np.asarray(data, dtype=self.dtype)
-        if data.ndim >= 1 and not data.flags.c_contiguous:
+        if not data.flags.c_contiguous:
             data = np.ascontiguousarray(data)
         node_id = len(self._inputs)
         self._inputs.append(input_ids)
@@ -110,15 +110,14 @@ class Tape:
         grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
         for node_id in range(loss.node_id, -1, -1):
             g = grads.get(node_id)
-            if g is None:
-                continue
             backward = self._backwards[node_id]
-            if backward is None:
+            if g is None or backward is None:
                 continue
             for input_id, gin in zip(self._inputs[node_id], backward(g)):
                 seen = grads.get(input_id)
                 grads[input_id] = gin if seen is None else seen + gin
-        return [np.array(grads.get(t.node_id, np.zeros_like(t.data))) for t in leaves]
+        return [np.array(grads[t.node_id]) if t.node_id in grads else np.zeros_like(t.data)
+                for t in leaves]
 
 
 def _tape_of(*tensors: Tensor) -> Tape:
@@ -167,24 +166,30 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     if kernel.shape[2] != x.shape[3]:
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     tape = _tape_of(x, kernel)
-    T, h, w, _ = x.shape
+    T, h, w, c_in = x.shape
     pad = k // 2
     X, K = x.data, kernel.data
-    Xp = np.pad(X, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    out = np.zeros((T, h, w, kernel.shape[3]), dtype=tape.dtype)
+    Xp = np.zeros((T, h + 2 * pad, w + 2 * pad, c_in), dtype=X.dtype)
+    Xp[:, pad:pad + h, pad:pad + w, :] = X
+    # windows[di, dj] is the input under kernel tap (di, dj), so one batched
+    # matmul makes the same per-row BLAS calls as a matmul per tap
+    s0, s1, s2, s3 = Xp.strides
+    windows = np.ndarray((k, k, T, h, w, c_in), X.dtype, Xp, 0, (s1, s2, s0, s1, s2, s3))
+    taps = windows @ K[:, :, None, None]
+    out = np.zeros_like(taps[0, 0])
     for di in range(k):
         for dj in range(k):
-            out += Xp[:, di:di + h, dj:dj + w, :] @ K[di, dj]
+            out += taps[di, dj]
 
     def backward(g):
         gxp = np.zeros_like(Xp)
-        gk = np.zeros_like(K)
+        back = g @ K.transpose(0, 1, 3, 2)[:, :, None, None]
         for di in range(k):
             for dj in range(k):
-                gxp[:, di:di + h, dj:dj + w, :] += g @ K[di, dj].T
-                gk[di, dj] = np.tensordot(Xp[:, di:di + h, dj:dj + w, :], g,
-                                          axes=([0, 1, 2], [0, 1, 2]))
-        return gxp[:, pad:pad + h, pad:pad + w, :], gk
+                gxp[:, di:di + h, dj:dj + w, :] += back[di, dj]
+        # each tap's kernel gradient contracts (T, h, w); one matmul covers all taps
+        cols = windows.transpose(0, 1, 5, 2, 3, 4).reshape(k, k, c_in, -1)
+        return gxp[:, pad:pad + h, pad:pad + w, :], cols @ g.reshape(T * h * w, -1)
 
     return tape._record(out, (x.node_id, kernel.node_id), backward)
 

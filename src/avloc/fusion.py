@@ -12,30 +12,12 @@ feature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from typing import Mapping
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
 
 SCALE_MODES = ("sqrt", "linear")
-
-
-@dataclass
-class CrossModalParams:
-    query_proj: np.ndarray  # (d_in, d_m)
-    key_proj: np.ndarray    # (d_in, d_m)
-    value_proj: np.ndarray  # (d_in, d_out)
-
-
-@dataclass
-class StreamProjections:
-    """Width reconciliation in front of / inside the relation stages."""
-
-    audio: np.ndarray  # (d_a, d_m)
-    visual: np.ndarray  # (d_v, d_m)
-    fused: np.ndarray   # (2*d_m, d_m)
 
 
 def attention_scale(d_m: int, scale_mode: str) -> float:
@@ -73,24 +55,31 @@ def cross_modal_attend(query_seq: ad.Tensor, context_seq: ad.Tensor,
     return out
 
 
+def _attend_with(branch: Mapping[str, ad.Tensor], query_seq: ad.Tensor,
+                 context_seq: ad.Tensor, scale_mode: str) -> ad.Tensor:
+    return cross_modal_attend(query_seq, context_seq, branch["query_proj"],
+                              branch["key_proj"], branch["value_proj"], scale_mode)
+
+
 def relation_aware(audio_seq: ad.Tensor, visual_seq: ad.Tensor,
                    audio_proj: ad.Tensor, visual_proj: ad.Tensor,
-                   audio_branch: "CrossModalLeaves", visual_branch: "CrossModalLeaves",
+                   audio_branch: Mapping[str, ad.Tensor],
+                   visual_branch: Mapping[str, ad.Tensor],
                    scale_mode: str = "sqrt") -> tuple[ad.Tensor, ad.Tensor]:
-    """Project both streams to d_m, then let each attend over both."""
+    """Project both streams to d_m, then let each attend over both.
+
+    The branches are the audio_branch and visual_branch groups of the
+    model's parameter table.
+    """
     a = ad.matmul(audio_seq, audio_proj)
     v = ad.matmul(visual_seq, visual_proj)
-    visual_rel = cross_modal_attend(v, a, visual_branch.query_proj,
-                                    visual_branch.key_proj, visual_branch.value_proj,
-                                    scale_mode)
-    audio_rel = cross_modal_attend(a, v, audio_branch.query_proj,
-                                   audio_branch.key_proj, audio_branch.value_proj,
-                                   scale_mode)
+    visual_rel = _attend_with(visual_branch, v, a, scale_mode)
+    audio_rel = _attend_with(audio_branch, a, v, scale_mode)
     return audio_rel, visual_rel
 
 
 def interact(audio_rel: ad.Tensor, visual_rel: ad.Tensor, fused_proj: ad.Tensor,
-             branch: "CrossModalLeaves", scale_mode: str = "sqrt") -> ad.Tensor:
+             branch: Mapping[str, ad.Tensor], scale_mode: str = "sqrt") -> ad.Tensor:
     """Fuse the relation branches into the (T, 2*d_m) classification feature.
 
     The concatenated pair is the residual; the attention mixes the
@@ -102,18 +91,5 @@ def interact(audio_rel: ad.Tensor, visual_rel: ad.Tensor, fused_proj: ad.Tensor,
     resonance = ad.mul(audio_rel, visual_rel)                    # (T, d_m)
     paired = ad.concat(audio_rel, visual_rel, axis=1)            # (T, 2*d_m)
     context = ad.matmul(paired, fused_proj)                      # (T, d_m)
-    mixed = cross_modal_attend(resonance, context, branch.query_proj,
-                               branch.key_proj, branch.value_proj, scale_mode)
+    mixed = _attend_with(branch, resonance, context, scale_mode)
     return ad.add(mixed, paired)
-
-
-@dataclass
-class CrossModalLeaves:
-    query_proj: ad.Tensor
-    key_proj: ad.Tensor
-    value_proj: ad.Tensor
-
-    @classmethod
-    def register(cls, tape: ad.Tape, params: CrossModalParams) -> "CrossModalLeaves":
-        return cls(tape.leaf(params.query_proj), tape.leaf(params.key_proj),
-                   tape.leaf(params.value_proj))

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import attention, fusion, heads, motion
 from .errors import ConfigError
-from .model import Dims, ModelConfig, init_params, run_forward
+from .model import Dims, ModelConfig, ModelParams, init_params, param_table, run_forward
 
 REL_TOL = 1e-4
 ABS_TOL = 1e-8
@@ -165,6 +165,14 @@ def _op_checks(rng: np.random.Generator) -> list[CheckResult]:
 # module composites (desk-scale-in-miniature dims)
 
 _T, _DA, _DV, _H, _W, _DH, _DM, _C = 3, 3, 4, 2, 2, 3, 3, 3
+_MINI = ModelConfig(dims=Dims(T=_T, d_a=_DA, d_v=_DV, h=_H, w=_W, classes=_C,
+                              hidden=_DH, relation=_DM))
+
+
+def _group_shapes(prefix: str) -> dict[str, tuple[int, ...]]:
+    """Local name -> shape of one parameter-table group at the miniature dims."""
+    return {name.split(".", 1)[1]: shape for name, _, _, shape in param_table(_MINI)
+            if name.startswith(prefix + ".")}
 
 
 def _motion_checks(rng) -> list[CheckResult]:
@@ -203,15 +211,14 @@ def _attention_checks(rng) -> list[CheckResult]:
         results.append(check_gradients(f"attention.motion_guided_audio[{p}]",
                                        build, arrays))
 
-    gate_shapes = [(_DA, _DH), (_DV, _DH), (_DH, _DV), (_DV, _DV),
-                   (_DA, _DH), (_DV, _DH), (_DH, 1)]
+    gate_shapes = _group_shapes("visual_gate")
 
     def make_gate_leaves(tape, arrs):
-        return attention.VisualGateLeaves(*_leaves(tape, arrs))
+        return dict(zip(gate_shapes, _leaves(tape, arrs)))
 
     for p in range(POINTS):
         arrays = [rng.normal(size=(_T, _DA)), rng.normal(size=(_T, _H, _W, _DV))] \
-            + [rng.normal(size=s) for s in gate_shapes]
+            + [rng.normal(size=s) for s in gate_shapes.values()]
         mix = rng.normal(size=(_T, _H, _W, _DV))
 
         def build(arrs, mix=mix):
@@ -219,14 +226,14 @@ def _attention_checks(rng) -> list[CheckResult]:
             a, v = _leaves(tape, arrs[:2])
             gates = make_gate_leaves(tape, arrs[2:])
             out = attention.audio_guided_channel(a, v, gates)
-            return _scalarize(out, mix), [a, v] + list(vars(gates).values())
+            return _scalarize(out, mix), [a, v] + list(gates.values())
 
         results.append(check_gradients(f"attention.audio_guided_channel[{p}]",
                                        build, arrays))
 
     for p in range(POINTS):
         arrays = [rng.normal(size=(_T, _DA)), rng.normal(size=(_T, _H, _W, _DV))] \
-            + [rng.normal(size=s) for s in gate_shapes]
+            + [rng.normal(size=s) for s in gate_shapes.values()]
         mix = rng.normal(size=(_T, _DV))
 
         def build(arrs, mix=mix):
@@ -234,7 +241,7 @@ def _attention_checks(rng) -> list[CheckResult]:
             a, v = _leaves(tape, arrs[:2])
             gates = make_gate_leaves(tape, arrs[2:])
             out = attention.audio_guided_spatial(a, v, gates)
-            return _scalarize(out, mix), [a, v] + list(vars(gates).values())
+            return _scalarize(out, mix), [a, v] + list(gates.values())
 
         results.append(check_gradients(f"attention.audio_guided_spatial[{p}]",
                                        build, arrays))
@@ -269,7 +276,7 @@ def _fusion_checks(rng) -> list[CheckResult]:
         def build(arrs, mix=mix):
             tape = ad.Tape("f64")
             leaves = _leaves(tape, arrs)
-            branch = fusion.CrossModalLeaves(*leaves[3:])
+            branch = dict(zip(_group_shapes("interaction"), leaves[3:]))
             out = fusion.interact(leaves[0], leaves[1], leaves[2], branch)
             return _scalarize(out, mix), leaves
 
@@ -290,7 +297,7 @@ def _head_checks(rng) -> list[CheckResult]:
         def build(arrs, relevance=relevance, video_class=video_class):
             tape = ad.Tape("f64")
             fused, cw, cb, ew, eb = _leaves(tape, arrs)
-            hl = heads.HeadLeaves(cw, cb, ew, eb)
+            hl = dict(zip(_group_shapes("head"), (cw, cb, ew, eb)))
             loss = heads.supervised_loss(heads.class_distribution(fused, hl),
                                          heads.event_relevance(fused, hl),
                                          video_class, relevance)
@@ -316,12 +323,10 @@ def _head_checks(rng) -> list[CheckResult]:
 
 def _model_checks(rng) -> list[CheckResult]:
     """End-to-end wiring check: full supervised loss on a miniature model."""
-    cfg = ModelConfig(dims=Dims(T=_T, d_a=_DA, d_v=_DV, h=_H, w=_W, classes=_C,
-                                hidden=_DH, relation=_DM))
     results = []
     for p in range(2):
-        params = init_params(cfg, seed=100 + p)
-        names = [n for n, _ in params.items()]
+        params = init_params(_MINI, seed=100 + p)
+        names = list(params.arrays)
         arrays = [a.astype(np.float64) + rng.normal(0, 0.02, size=a.shape)
                   for _, a in params.items()]
         audio = rng.normal(size=(_T, _DA))
@@ -329,12 +334,10 @@ def _model_checks(rng) -> list[CheckResult]:
         relevance = rng.integers(0, 2, size=_T)
         video_class = int(rng.integers(_C))
 
-        def build(arrs, params=params):
-            for name, arr in zip(names, arrs):
-                group_name, field_name = name.split(".", 1)
-                setattr(getattr(params, group_name), field_name, arr)
+        def build(arrs):
             tape = ad.Tape("f64")
-            fwd = run_forward(tape, params, audio, visual, cfg)
+            fwd = run_forward(tape, ModelParams(dict(zip(names, arrs)), params.seed),
+                              audio, visual, _MINI)
             loss = heads.supervised_loss(fwd.class_probs, fwd.event_scores,
                                          video_class, relevance)
             return loss, fwd.leaf_list()

@@ -12,6 +12,7 @@ single cross entropy at the video level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -19,29 +20,6 @@ from . import autodiff as ad
 from .errors import LabelError, ShapeError
 
 LOG_FLOOR = 1e-12
-
-
-@dataclass
-class HeadParams:
-    """Classifier weights; these are the only layers that carry biases."""
-
-    class_weight: np.ndarray  # (2*d_m, n_out); n_out = C supervised, C+1 weak
-    class_bias: np.ndarray    # (1, n_out)
-    event_weight: np.ndarray  # (2*d_m, 1)
-    event_bias: np.ndarray    # (1, 1)
-
-
-@dataclass
-class HeadLeaves:
-    class_weight: ad.Tensor
-    class_bias: ad.Tensor
-    event_weight: ad.Tensor
-    event_bias: ad.Tensor
-
-    @classmethod
-    def register(cls, tape: ad.Tape, params: HeadParams) -> "HeadLeaves":
-        return cls(tape.leaf(params.class_weight), tape.leaf(params.class_bias),
-                   tape.leaf(params.event_weight), tape.leaf(params.event_bias))
 
 
 @dataclass
@@ -70,22 +48,25 @@ class Prediction:
 # forward heads
 
 
-def class_distribution(fused: ad.Tensor, leaves: HeadLeaves) -> ad.Tensor:
-    """Max-pool (T, 2*d_m) over time, project, softmax -> (1, n_out)."""
+def class_distribution(fused: ad.Tensor, p: Mapping[str, ad.Tensor]) -> ad.Tensor:
+    """Max-pool (T, 2*d_m) over time, project, softmax -> (1, n_out).
+
+    `p` (here and below) is the head group of the model's parameter table.
+    """
     pooled = ad.max_time(fused)
-    logits = ad.add(ad.matmul(pooled, leaves.class_weight), leaves.class_bias)
+    logits = ad.add(ad.matmul(pooled, p["class_weight"]), p["class_bias"])
     return ad.softmax(logits, axis=1)
 
 
-def event_relevance(fused: ad.Tensor, leaves: HeadLeaves) -> ad.Tensor:
+def event_relevance(fused: ad.Tensor, p: Mapping[str, ad.Tensor]) -> ad.Tensor:
     """Per-segment relevance score -> (T, 1)."""
-    logits = ad.add(ad.matmul(fused, leaves.event_weight), leaves.event_bias)
+    logits = ad.add(ad.matmul(fused, p["event_weight"]), p["event_bias"])
     return ad.sigmoid(logits)
 
 
-def per_segment_logits(fused: ad.Tensor, leaves: HeadLeaves) -> ad.Tensor:
+def per_segment_logits(fused: ad.Tensor, p: Mapping[str, ad.Tensor]) -> ad.Tensor:
     """Class logits per time step (no pooling) -> (T, n_out); weak pathway."""
-    return ad.add(ad.matmul(fused, leaves.class_weight), leaves.class_bias)
+    return ad.add(ad.matmul(fused, p["class_weight"]), p["class_bias"])
 
 
 # ---------------------------------------------------------------------------

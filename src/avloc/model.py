@@ -10,7 +10,8 @@ anything downstream, which is what the ablation runner exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from . import autodiff as ad
 from . import attention, fusion, heads, motion
 from .data import FeatureBundle
 from .errors import ConfigError, ShapeError
-from .heads import HeadLeaves, HeadParams, Prediction
+from .heads import Prediction
 
 MOTION_MODES = ("pfme", "future_only", "off")
 MODES = ("supervised", "weak")
@@ -39,13 +40,21 @@ class Dims:
     relation: int = 64   # channel width of the relation branches
 
     def validate(self) -> None:
-        if self.T < 2:
-            raise ConfigError(f"T must be >= 2, got {self.T}")
-        if self.classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.classes}")
-        for name in ("d_a", "d_v", "h", "w", "hidden", "relation"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"dims field {name} must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"dims field {f.name} must be an int, got {value!r}")
+            floor = 2 if f.name in ("T", "classes") else 1
+            if value < floor:
+                raise ConfigError(f"dims field {f.name} must be >= {floor}, got {value}")
+
+
+def _check_keys(cls, doc, legacy: tuple[str, ...] = ()) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{cls.__name__} config must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)} - set(legacy))
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} config key {unknown[0]!r}")
 
 
 @dataclass
@@ -55,7 +64,6 @@ class ModelConfig:
     motion: str = "pfme"                 # pfme | future_only | off
     temporal_attention: bool = True
     scale_mode: str = "sqrt"             # sqrt | linear attention scaling
-    past_variant: str = "printed"
 
     def validate(self) -> None:
         self.dims.validate()
@@ -65,8 +73,9 @@ class ModelConfig:
             raise ConfigError(f"motion must be one of {MOTION_MODES}, got {self.motion!r}")
         if self.scale_mode not in fusion.SCALE_MODES:
             raise ConfigError(f"scale_mode must be one of {fusion.SCALE_MODES}")
-        if self.past_variant not in motion.PAST_VARIANTS:
-            raise ConfigError(f"past_variant must be one of {motion.PAST_VARIANTS}")
+        if not isinstance(self.temporal_attention, bool):
+            raise ConfigError(f"temporal_attention must be a bool, "
+                              f"got {self.temporal_attention!r}")
 
     @property
     def n_class_outputs(self) -> int:
@@ -78,112 +87,116 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        cfg = cls(dims=Dims(**doc["dims"]),
-                  **{k: v for k, v in doc.items() if k != "dims"})
+        _check_keys(cls, doc, legacy=("past_variant",))
+        doc = dict(doc)
+        # checkpoints written while past_variant existed store "printed",
+        # the only past-motion rule this model computes
+        if doc.pop("past_variant", "printed") != "printed":
+            raise ConfigError("past_variant: only 'printed' can be loaded")
+        dims = doc.pop("dims", {})
+        _check_keys(Dims, dims)
+        cfg = cls(dims=Dims(**dims), **doc)
         cfg.validate()
         return cfg
 
 
-@dataclass
-class ModelParams:
-    """Every learned weight, reconstructible bit-exactly from (seed, config)."""
-
-    motion: motion.MotionParams
-    audio_gate: attention.AudioGateParams
-    visual_gate: attention.VisualGateParams
-    streams: fusion.StreamProjections
-    audio_branch: fusion.CrossModalParams
-    visual_branch: fusion.CrossModalParams
-    interaction: fusion.CrossModalParams
-    head: HeadParams
-    seed: int
-
-    def items(self) -> list[tuple[str, np.ndarray]]:
-        """(name, array) pairs in a fixed order shared by the optimizer,
-        checkpoints, and leaf registration."""
-        out = []
-        for group_name in ("motion", "audio_gate", "visual_gate", "streams",
-                           "audio_branch", "visual_branch", "interaction", "head"):
-            group = getattr(self, group_name)
-            for field_name in group.__dataclass_fields__:
-                out.append((f"{group_name}.{field_name}", getattr(group, field_name)))
-        return out
-
-    def set_array(self, name: str, value: np.ndarray) -> None:
-        group_name, field_name = name.split(".", 1)
-        group = getattr(self, group_name)
-        current = getattr(group, field_name)
-        if current.shape != value.shape:
-            raise ShapeError(f"{name}: checkpoint shape {value.shape} != {current.shape}")
-        setattr(group, field_name, np.ascontiguousarray(value, dtype=np.float32))
+# ---------------------------------------------------------------------------
+# parameters
 
 
-def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def _uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     # bound sqrt(3/fan_in) keeps activation variance ~constant layer to layer
     fan_in = int(np.prod(shape[:-1]))
     bound = float(np.sqrt(3.0 / fan_in))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def _identity_plus_noise(rng: np.random.Generator, k: int, channels: int) -> np.ndarray:
+def _identity(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Temporal-difference conv init: exact identity at the center tap,
     sigma=0.01 noise elsewhere, so early training approximates plain frame
     differencing."""
-    kernel = rng.normal(0.0, 0.01, size=(k, k, channels, channels)).astype(np.float32)
-    kernel[k // 2, k // 2] = np.eye(channels, dtype=np.float32)
+    kernel = rng.normal(0.0, 0.01, size=shape).astype(np.float32)
+    kernel[shape[0] // 2, shape[1] // 2] = np.eye(shape[2], dtype=np.float32)
     return kernel
+
+
+def _zeros(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return np.zeros(shape, dtype=np.float32)
+
+
+def param_table(cfg: ModelConfig) -> list[tuple[str, int, Callable, tuple[int, ...]]]:
+    """Every learned weight as (name, RNG group, initializer, shape).
+
+    The order is shared by initialization (each group's stream is drawn in
+    row order), the optimizer, checkpoints and leaf registration.
+    """
+    d = cfg.dims
+    d_m, d_h, n_out = d.relation, d.hidden, cfg.n_class_outputs
+    return [
+        ("motion.align_kernel", 0, _uniform, (1, 1, d.d_v, d.d_a)),
+        ("motion.past_kernel", 0, _identity, (3, 3, d.d_a, d.d_a)),
+        ("motion.future_kernel", 0, _identity, (3, 3, d.d_a, d.d_a)),
+        ("motion.out_map", 0, _uniform, (d.d_a, d.d_a)),
+        # zero-init so the temporal gate starts uniform (a neutral 1 + 1/T boost)
+        # instead of a near-one-hot softmax that starves most segments early
+        ("audio_gate.temporal_weight", 1, _zeros, (d.d_a, 1)),
+        ("visual_gate.channel_audio", 2, _uniform, (d.d_a, d_h)),
+        ("visual_gate.channel_visual", 2, _uniform, (d.d_v, d_h)),
+        ("visual_gate.channel_align", 2, _uniform, (d_h, d.d_v)),
+        ("visual_gate.channel_value", 2, _uniform, (d.d_v, d.d_v)),
+        ("visual_gate.spatial_audio", 2, _uniform, (d.d_a, d_h)),
+        ("visual_gate.spatial_visual", 2, _uniform, (d.d_v, d_h)),
+        ("visual_gate.spatial_score", 2, _uniform, (d_h, 1)),
+        ("streams.audio", 3, _uniform, (d.d_a, d_m)),
+        ("streams.visual", 3, _uniform, (d.d_v, d_m)),
+        ("streams.fused", 3, _uniform, (2 * d_m, d_m)),
+        ("audio_branch.query_proj", 4, _uniform, (d_m, d_m)),
+        ("audio_branch.key_proj", 4, _uniform, (d_m, d_m)),
+        ("audio_branch.value_proj", 4, _uniform, (d_m, d_m)),
+        ("visual_branch.query_proj", 5, _uniform, (d_m, d_m)),
+        ("visual_branch.key_proj", 5, _uniform, (d_m, d_m)),
+        ("visual_branch.value_proj", 5, _uniform, (d_m, d_m)),
+        ("interaction.query_proj", 6, _uniform, (d_m, d_m)),
+        ("interaction.key_proj", 6, _uniform, (d_m, d_m)),
+        ("interaction.value_proj", 6, _uniform, (d_m, 2 * d_m)),
+        # the heads are the only layers that carry biases
+        ("head.class_weight", 7, _uniform, (2 * d_m, n_out)),
+        ("head.class_bias", 7, _zeros, (1, n_out)),
+        ("head.event_weight", 7, _uniform, (2 * d_m, 1)),
+        ("head.event_bias", 7, _zeros, (1, 1)),
+    ]
+
+
+@dataclass
+class ModelParams:
+    """Every learned weight by table name, reconstructible bit-exactly from
+    (seed, config)."""
+
+    arrays: dict[str, np.ndarray]
+    seed: int
+
+    def items(self) -> list[tuple[str, np.ndarray]]:
+        """(name, array) pairs in table order."""
+        return list(self.arrays.items())
+
+    def set_array(self, name: str, value: np.ndarray) -> None:
+        current = self.arrays[name]
+        if current.shape != value.shape:
+            raise ShapeError(f"{name}: new shape {value.shape} != {current.shape}")
+        self.arrays[name] = np.ascontiguousarray(value, dtype=np.float32)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     """Draw all weights from one splittable stream per parameter group."""
     cfg.validate()
-    d = cfg.dims
-    groups = np.random.SeedSequence(seed).spawn(8)
-    rngs = [np.random.default_rng(s) for s in groups]
-    d_m, d_h, n_out = d.relation, d.hidden, cfg.n_class_outputs
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(8)]
+    return ModelParams({name: init(rngs[group], shape)
+                        for name, group, init, shape in param_table(cfg)}, seed)
 
-    motion_params = motion.MotionParams(
-        align_kernel=_fan_in_uniform(rngs[0], (1, 1, d.d_v, d.d_a)),
-        past_kernel=_identity_plus_noise(rngs[0], 3, d.d_a),
-        future_kernel=_identity_plus_noise(rngs[0], 3, d.d_a),
-        out_map=_fan_in_uniform(rngs[0], (d.d_a, d.d_a)))
-    # zero-init so the temporal gate starts uniform (a neutral 1 + 1/T boost)
-    # instead of a near-one-hot softmax that starves most segments early
-    audio_gate = attention.AudioGateParams(
-        temporal_weight=np.zeros((d.d_a, 1), dtype=np.float32))
-    visual_gate = attention.VisualGateParams(
-        channel_audio=_fan_in_uniform(rngs[2], (d.d_a, d_h)),
-        channel_visual=_fan_in_uniform(rngs[2], (d.d_v, d_h)),
-        channel_align=_fan_in_uniform(rngs[2], (d_h, d.d_v)),
-        channel_value=_fan_in_uniform(rngs[2], (d.d_v, d.d_v)),
-        spatial_audio=_fan_in_uniform(rngs[2], (d.d_a, d_h)),
-        spatial_visual=_fan_in_uniform(rngs[2], (d.d_v, d_h)),
-        spatial_score=_fan_in_uniform(rngs[2], (d_h, 1)))
-    streams = fusion.StreamProjections(
-        audio=_fan_in_uniform(rngs[3], (d.d_a, d_m)),
-        visual=_fan_in_uniform(rngs[3], (d.d_v, d_m)),
-        fused=_fan_in_uniform(rngs[3], (2 * d_m, d_m)))
-    audio_branch = fusion.CrossModalParams(
-        query_proj=_fan_in_uniform(rngs[4], (d_m, d_m)),
-        key_proj=_fan_in_uniform(rngs[4], (d_m, d_m)),
-        value_proj=_fan_in_uniform(rngs[4], (d_m, d_m)))
-    visual_branch = fusion.CrossModalParams(
-        query_proj=_fan_in_uniform(rngs[5], (d_m, d_m)),
-        key_proj=_fan_in_uniform(rngs[5], (d_m, d_m)),
-        value_proj=_fan_in_uniform(rngs[5], (d_m, d_m)))
-    interaction = fusion.CrossModalParams(
-        query_proj=_fan_in_uniform(rngs[6], (d_m, d_m)),
-        key_proj=_fan_in_uniform(rngs[6], (d_m, d_m)),
-        value_proj=_fan_in_uniform(rngs[6], (d_m, 2 * d_m)))
-    head = HeadParams(
-        class_weight=_fan_in_uniform(rngs[7], (2 * d_m, n_out)),
-        class_bias=np.zeros((1, n_out), dtype=np.float32),
-        event_weight=_fan_in_uniform(rngs[7], (2 * d_m, 1)),
-        event_bias=np.zeros((1, 1), dtype=np.float32))
-    return ModelParams(motion=motion_params, audio_gate=audio_gate,
-                       visual_gate=visual_gate, streams=streams,
-                       audio_branch=audio_branch, visual_branch=visual_branch,
-                       interaction=interaction, head=head, seed=seed)
+
+def _group(leaves: Mapping[str, ad.Tensor], prefix: str) -> dict[str, ad.Tensor]:
+    """The leaves named `prefix.<local>`, keyed by their local name."""
+    return {k[len(prefix) + 1:]: v for k, v in leaves.items() if k.startswith(prefix + ".")}
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +240,7 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
             future = motion.future_motion(aligned, leaves["motion.future_kernel"])
         else:
             past, future = motion.past_future_motion(
-                aligned, leaves["motion.past_kernel"], leaves["motion.future_kernel"],
-                cfg.past_variant)
+                aligned, leaves["motion.past_kernel"], leaves["motion.future_kernel"])
         motion_feat = motion.fuse_and_pool(past, future, leaves["motion.out_map"])
     stages["motion.feature"] = motion_feat
 
@@ -237,10 +249,7 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
         use_temporal=cfg.temporal_attention)
     stages["audio_attention"] = audio_gated
 
-    gate_leaves = attention.VisualGateLeaves(
-        *(leaves[f"visual_gate.{f}"] for f in (
-            "channel_audio", "channel_visual", "channel_align", "channel_value",
-            "spatial_audio", "spatial_visual", "spatial_score")))
+    gate_leaves = _group(leaves, "visual_gate")
     visual_gated = attention.audio_guided_channel(audio_gated, visual_in, gate_leaves)
     stages["visual_channel"] = visual_gated
     visual_static = attention.audio_guided_spatial(audio_gated, visual_gated, gate_leaves)
@@ -249,23 +258,15 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
     audio_rel, visual_rel = fusion.relation_aware(
         audio_gated, visual_static,
         leaves["streams.audio"], leaves["streams.visual"],
-        fusion.CrossModalLeaves(*(leaves[f"audio_branch.{f}"] for f in
-                                  ("query_proj", "key_proj", "value_proj"))),
-        fusion.CrossModalLeaves(*(leaves[f"visual_branch.{f}"] for f in
-                                  ("query_proj", "key_proj", "value_proj"))),
-        cfg.scale_mode)
+        _group(leaves, "audio_branch"), _group(leaves, "visual_branch"), cfg.scale_mode)
     stages["relation.audio"] = audio_rel
     stages["relation.visual"] = visual_rel
 
-    fused = fusion.interact(
-        audio_rel, visual_rel, leaves["streams.fused"],
-        fusion.CrossModalLeaves(*(leaves[f"interaction.{f}"] for f in
-                                  ("query_proj", "key_proj", "value_proj"))),
-        cfg.scale_mode)
+    fused = fusion.interact(audio_rel, visual_rel, leaves["streams.fused"],
+                            _group(leaves, "interaction"), cfg.scale_mode)
     stages["interaction"] = fused
 
-    head_leaves = HeadLeaves(*(leaves[f"head.{f}"] for f in (
-        "class_weight", "class_bias", "event_weight", "event_bias")))
+    head_leaves = _group(leaves, "head")
     class_probs = heads.class_distribution(fused, head_leaves)
     event_scores = heads.event_relevance(fused, head_leaves)
     segment_logits = heads.per_segment_logits(fused, head_leaves) \
@@ -289,12 +290,8 @@ def predict(params: ModelParams, cfg: ModelConfig, bundle: FeatureBundle) -> Pre
     fwd = run_forward(tape, params, bundle.audio, bundle.visual, cfg)
     event_scores = fwd.event_scores.data[:, 0].copy()
     if cfg.mode == "weak":
-        logits = fwd.segment_logits.data
-        video_logits = logits.sum(axis=0)
-        video_logits = video_logits - video_logits.max()
-        probs = np.exp(video_logits)
-        probs /= probs.sum()
-        decoded = heads.decode_weak(logits)
+        probs = ad.softmax(ad.sum_time(fwd.segment_logits), axis=1).data[0]
+        decoded = heads.decode_weak(fwd.segment_logits.data)
     else:
         probs = fwd.class_probs.data[0].copy()
         decoded = heads.decode_supervised(probs, event_scores)

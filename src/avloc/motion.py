@@ -10,29 +10,8 @@ rows are exactly zero by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import autodiff as ad
-from .errors import ConfigError, ContractError
-
-PAST_VARIANTS = ("printed", "conv_prev")
-
-
-@dataclass
-class MotionParams:
-    """Weights of the motion extractor (all float32).
-
-    align_kernel: (1, 1, d_v, d_a) channel alignment
-    past_kernel / future_kernel: (k, k, d_a, d_a) temporal-difference convs
-    out_map: (d_a, d_a) channel remap applied per time step
-    """
-
-    align_kernel: np.ndarray
-    past_kernel: np.ndarray
-    future_kernel: np.ndarray
-    out_map: np.ndarray
+from .errors import ContractError
 
 
 def align_channels(visual: ad.Tensor, align_kernel: ad.Tensor) -> ad.Tensor:
@@ -40,32 +19,10 @@ def align_channels(visual: ad.Tensor, align_kernel: ad.Tensor) -> ad.Tensor:
     return ad.conv2d(visual, align_kernel)
 
 
-def past_motion(aligned: ad.Tensor, kernel: ad.Tensor,
-                variant: str = "printed") -> ad.Tensor:
-    """Motion that arrived into each segment from its predecessor.
-
-    The default differences conv(current) - previous; the "conv_prev" variant
-    differences conv(previous) - current instead (the two readings of which
-    frame the kernel should track). Row 0 is exactly zero.
-    """
-    if variant not in PAST_VARIANTS:
-        raise ConfigError(f"past-motion variant must be one of {PAST_VARIANTS}, got {variant!r}")
-    T = aligned.shape[0]
-    if T < 2:
-        raise ContractError(f"motion extraction needs T >= 2, got T={T}")
-    convolved = ad.conv2d(aligned, kernel)
-    if variant == "printed":
-        body = ad.sub(ad.slice_axis(convolved, 0, 1, T),
-                      ad.slice_axis(aligned, 0, 0, T - 1))
-    else:
-        body = ad.sub(ad.slice_axis(convolved, 0, 0, T - 1),
-                      ad.slice_axis(aligned, 0, 1, T))
-    zero_row = aligned.tape.zeros((1,) + aligned.shape[1:])
-    return ad.concat(zero_row, body, axis=0)
-
-
-def future_motion(aligned: ad.Tensor, kernel: ad.Tensor) -> ad.Tensor:
-    """Motion leaving each segment toward its successor; last row exactly zero."""
+def _neighbor_difference(aligned: ad.Tensor, kernel: ad.Tensor,
+                         zero_first: bool) -> ad.Tensor:
+    """conv(aligned)[1:] - aligned[:-1], padded back to T rows with an exact
+    zero row at the start (past motion) or at the end (future motion)."""
     T = aligned.shape[0]
     if T < 2:
         raise ContractError(f"motion extraction needs T >= 2, got T={T}")
@@ -73,14 +30,25 @@ def future_motion(aligned: ad.Tensor, kernel: ad.Tensor) -> ad.Tensor:
     body = ad.sub(ad.slice_axis(convolved, 0, 1, T),
                   ad.slice_axis(aligned, 0, 0, T - 1))
     zero_row = aligned.tape.zeros((1,) + aligned.shape[1:])
-    return ad.concat(body, zero_row, axis=0)
+    return ad.concat(zero_row, body, axis=0) if zero_first \
+        else ad.concat(body, zero_row, axis=0)
+
+
+def past_motion(aligned: ad.Tensor, kernel: ad.Tensor) -> ad.Tensor:
+    """Motion that arrived into each segment from its predecessor:
+    conv(current) - previous. Row 0 is exactly zero."""
+    return _neighbor_difference(aligned, kernel, zero_first=True)
+
+
+def future_motion(aligned: ad.Tensor, kernel: ad.Tensor) -> ad.Tensor:
+    """Motion leaving each segment toward its successor: conv(next) - current.
+    The last row is exactly zero."""
+    return _neighbor_difference(aligned, kernel, zero_first=False)
 
 
 def past_future_motion(aligned: ad.Tensor, past_kernel: ad.Tensor,
-                       future_kernel: ad.Tensor,
-                       variant: str = "printed") -> tuple[ad.Tensor, ad.Tensor]:
-    return (past_motion(aligned, past_kernel, variant),
-            future_motion(aligned, future_kernel))
+                       future_kernel: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    return past_motion(aligned, past_kernel), future_motion(aligned, future_kernel)
 
 
 def fuse_and_pool(past: ad.Tensor, future: ad.Tensor, out_map: ad.Tensor) -> ad.Tensor:
@@ -94,8 +62,8 @@ def fuse_and_pool(past: ad.Tensor, future: ad.Tensor, out_map: ad.Tensor) -> ad.
 
 def motion_feature(visual: ad.Tensor, align_kernel: ad.Tensor,
                    past_kernel: ad.Tensor, future_kernel: ad.Tensor,
-                   out_map: ad.Tensor, variant: str = "printed") -> ad.Tensor:
+                   out_map: ad.Tensor) -> ad.Tensor:
     """Full extractor: (T, h, w, d_v) visual -> (T, d_a) motion feature."""
     aligned = align_channels(visual, align_kernel)
-    past, future = past_future_motion(aligned, past_kernel, future_kernel, variant)
+    past, future = past_future_motion(aligned, past_kernel, future_kernel)
     return fuse_and_pool(past, future, out_map)

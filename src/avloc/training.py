@@ -1,10 +1,8 @@
 """Training loop, evaluation metric, checkpointing, and the ablation runner.
 
-Single-threaded execution is bitwise reproducible for a fixed (seed, config,
-dataset): shuffling is keyed by (seed, epoch), every video owns its own tape,
-and batch gradients are reduced in a fixed index order. The optional
-data-parallel mode farms videos of a batch out to threads but keeps the same
-fixed-order reduction, so it produces the same floats.
+Training is bitwise reproducible for a fixed (seed, config, dataset):
+shuffling is keyed by (seed, epoch), every video owns its own tape, and batch
+gradients are reduced in a fixed index order.
 """
 
 from __future__ import annotations
@@ -14,18 +12,18 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
 from . import autodiff as ad
 from . import heads
-from .data import (DatasetManifest, LabelRecord, load_entry, read_block,
-                   write_block)
+from .data import (DatasetManifest, FeatureBundle, LabelRecord, load_entry,
+                   read_block, write_block)
 from .errors import ConfigError, ConsistencyError, ContractError, FormatError, TrainingDiverged
 from .model import (ForwardPass, ModelConfig, ModelParams, init_params,
-                    predict, run_forward)
+                    param_table, predict, run_forward)
 
 CHECKPOINT_VERSION = "avloc-checkpoint-1"
 
@@ -41,12 +39,11 @@ class TrainConfig:
     epsilon: float = 1e-8
     seed: int = 0
     checkpoint_every: int = 0   # epochs between checkpoints; 0 = final only
-    workers: int = 1
 
     def validate(self) -> None:
         self.model.validate()
-        if self.epochs < 1 or self.batch_size < 1 or self.workers < 1:
-            raise ConfigError("epochs, batch_size and workers must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be positive")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
 
@@ -77,15 +74,13 @@ class MetricsReport:
 class Adam:
     """Per-parameter adaptive moments (decay 0.9/0.999, epsilon 1e-8)."""
 
-    def __init__(self, names: list[str], shapes: dict[str, tuple[int, ...]],
-                 lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8):
-        self.names = names
+    def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
+                 beta2: float = 0.999, epsilon: float = 1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.step_count = 0
-        self.m = {n: np.zeros(shapes[n], dtype=np.float32) for n in names}
-        self.v = {n: np.zeros(shapes[n], dtype=np.float32) for n in names}
+        self.m = {n: np.zeros_like(a) for n, a in params.items()}
+        self.v = {n: np.zeros_like(a) for n, a in params.items()}
 
     def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
@@ -141,46 +136,33 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
     _check_dims(cfg.model, manifest)
 
     params = init_params(cfg.model, cfg.seed)
-    shapes = {n: a.shape for n, a in params.items()}
-    names = [n for n, _ in params.items()]
-    opt = Adam(names, shapes, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
-    pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
+    opt = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
 
     losses: list[float] = []
-    try:
-        for epoch in range(cfg.epochs):
-            order = np.random.default_rng([cfg.seed, epoch]).permutation(len(bundles))
-            epoch_loss = 0.0
-            for lo in range(0, len(order), cfg.batch_size):
-                batch = order[lo:lo + cfg.batch_size]
-                jobs = [(bundles[i], labels[i]) for i in batch]
-                if pool is not None:
-                    results = list(pool.map(
-                        lambda job: _video_loss(params, cfg.model, job[0].audio,
-                                                job[0].visual, job[1]), jobs))
-                else:
-                    results = [_video_loss(params, cfg.model, b.audio, b.visual, lab)
-                               for b, lab in jobs]
-                grad_sum = {n: np.zeros(shapes[n], dtype=np.float64) for n in names}
-                for loss_value, grads, fwd in results:  # fixed index order
-                    if not np.isfinite(loss_value):
-                        raise TrainingDiverged(
-                            f"non-finite loss at epoch {epoch}; first non-finite "
-                            f"values appear in module '{_first_nonfinite_stage(fwd)}'")
-                    epoch_loss += loss_value
-                    for n in names:
-                        grad_sum[n] += grads[n]
-                mean = {n: (grad_sum[n] / len(batch)).astype(np.float32) for n in names}
-                opt.step(params, mean)
-            losses.append(epoch_loss / len(bundles))
-            if out_dir and cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
-                save_checkpoint(os.path.join(out_dir, f"epoch_{epoch + 1:04d}"),
-                                params, cfg.model)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng([cfg.seed, epoch]).permutation(len(bundles))
+        epoch_loss = 0.0
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            grad_sum = {n: np.zeros(a.shape, dtype=np.float64) for n, a in params.items()}
+            for i in batch:  # fixed index order
+                loss_value, grads, fwd = _video_loss(params, cfg.model, bundles[i].audio,
+                                                     bundles[i].visual, labels[i])
+                if not np.isfinite(loss_value):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}; first non-finite "
+                        f"values appear in module '{_first_nonfinite_stage(fwd)}'")
+                epoch_loss += loss_value
+                for n in grad_sum:
+                    grad_sum[n] += grads[n]
+            opt.step(params, {n: (g / len(batch)).astype(np.float32)
+                              for n, g in grad_sum.items()})
+        losses.append(epoch_loss / len(bundles))
+        if out_dir and cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
+            save_checkpoint(os.path.join(out_dir, f"epoch_{epoch + 1:04d}"),
+                            params, cfg.model)
 
-    accuracy, per_class, _ = evaluate(params, cfg.model, manifest, base_dir)
+    accuracy, per_class, _ = _score(params, cfg.model, manifest, bundles)
     report = MetricsReport(losses=losses, accuracy=accuracy, per_class=per_class,
                            config=cfg.to_dict(),
                            wall_time_s=time.perf_counter() - started)
@@ -209,15 +191,23 @@ def evaluate(params: ModelParams, cfg: ModelConfig, manifest: DatasetManifest,
              base_dir: str) -> tuple[float, dict[str, float | None], list[heads.Prediction]]:
     """Segment accuracy: decoded label (background included) vs ground truth,
     pooled over every segment of every video. Also returns accuracy per
-    ground-truth label and the raw predictions."""
+    ground-truth label and the raw predictions. Feature files are read one at
+    a time."""
     _check_dims(cfg, manifest)
+    return _score(params, cfg, manifest,
+                  (load_entry(manifest, e, base_dir) for e in manifest.entries))
+
+
+def _score(params: ModelParams, cfg: ModelConfig, manifest: DatasetManifest,
+           bundles: Iterable[FeatureBundle]
+           ) -> tuple[float, dict[str, float | None], list[heads.Prediction]]:
+    """`evaluate` over bundles given in manifest order."""
     background = manifest.classes
     hits = total = 0
     class_hits = np.zeros(background + 1, dtype=np.int64)
     class_total = np.zeros(background + 1, dtype=np.int64)
     predictions = []
-    for entry in manifest.entries:
-        bundle = load_entry(manifest, entry, base_dir)
+    for entry, bundle in zip(manifest.entries, bundles):
         pred = predict(params, cfg, bundle)
         predictions.append(pred)
         truth = entry.label.segment_class
@@ -268,19 +258,24 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ModelParams, ModelConfig]:
             index = json.load(f)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{index_path}: not valid JSON ({exc})") from exc
-    if index.get("format") != CHECKPOINT_VERSION:
-        raise FormatError(f"{index_path}: unknown checkpoint format "
-                          f"{index.get('format')!r}")
-    cfg = ModelConfig.from_dict(index["config"])
-    params = init_params(cfg, index["seed"])
-    bin_path = os.path.join(ckpt_dir, "params.bin")
-    expected = [(p["name"], tuple(p["shape"])) for p in index["params"]]
-    if [n for n, _ in expected] != [n for n, _ in params.items()]:
+    if not isinstance(index, dict) or index.get("format") != CHECKPOINT_VERSION:
+        raise FormatError(f"{index_path}: not an {CHECKPOINT_VERSION} index")
+    seed = index.get("seed")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise FormatError(f"{index_path}: seed must be an integer, got {seed!r}")
+    cfg = ModelConfig.from_dict(index.get("config"))
+    table = [(name, shape) for name, _, _, shape in param_table(cfg)]
+    try:
+        stored = [(p["name"], tuple(p["shape"])) for p in index["params"]]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{index_path}: malformed parameter list ({exc!r})") from exc
+    if stored != table:
         raise ConsistencyError(f"{index_path}: parameter list does not match "
                                "this configuration")
+    bin_path = os.path.join(ckpt_dir, "params.bin")
     with open(bin_path, "rb") as f:
-        for name, shape in expected:
-            params.set_array(name, read_block(f, bin_path, shape))
+        params = ModelParams({name: read_block(f, bin_path, shape)
+                              for name, shape in table}, seed)
         if f.read(1):
             raise FormatError(f"{bin_path}: trailing bytes after the last block")
     return params, cfg
@@ -350,12 +345,7 @@ class AblationTable:
 def split_manifest(manifest: DatasetManifest, holdout_every: int = 4
                    ) -> tuple[DatasetManifest, DatasetManifest]:
     """Deterministic split: every `holdout_every`-th entry is held out."""
-    train = DatasetManifest(version=manifest.version, classes=manifest.classes,
-                            T=manifest.T, d_a=manifest.d_a, d_v=manifest.d_v,
-                            h=manifest.h, w=manifest.w)
-    held = DatasetManifest(version=manifest.version, classes=manifest.classes,
-                           T=manifest.T, d_a=manifest.d_a, d_v=manifest.d_v,
-                           h=manifest.h, w=manifest.w)
+    train, held = replace(manifest, entries=[]), replace(manifest, entries=[])
     for i, entry in enumerate(manifest.entries):
         (held if i % holdout_every == holdout_every - 1 else train).entries.append(entry)
     return train, held

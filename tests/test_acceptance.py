@@ -57,10 +57,10 @@ def test_acceptance_closed_form_invariants():
 
         tape = ad.Tape()
         aligned = motion.align_channels(tape.leaf(visual),
-                                        tape.leaf(params.motion.align_kernel))
+                                        tape.leaf(params.arrays["motion.align_kernel"]))
         past, future = motion.past_future_motion(
-            aligned, tape.leaf(params.motion.past_kernel),
-            tape.leaf(params.motion.future_kernel))
+            aligned, tape.leaf(params.arrays["motion.past_kernel"]),
+            tape.leaf(params.arrays["motion.future_kernel"]))
         if not (np.all(past.data[0] == 0.0) and np.all(future.data[-1] == 0.0)):
             failures.append(f"draw {draw}: boundary rows not exactly zero")
 
@@ -70,9 +70,9 @@ def test_acceptance_closed_form_invariants():
         static = np.broadcast_to(visual[:1], visual.shape).copy()
         t2 = ad.Tape()
         aligned2 = motion.align_channels(t2.leaf(static),
-                                         t2.leaf(params.motion.align_kernel))
+                                         t2.leaf(params.arrays["motion.align_kernel"]))
         p2, f2 = motion.past_future_motion(aligned2, t2.leaf(eye), t2.leaf(eye))
-        feat = motion.fuse_and_pool(p2, f2, t2.leaf(params.motion.out_map))
+        feat = motion.fuse_and_pool(p2, f2, t2.leaf(params.arrays["motion.out_map"]))
         if np.abs(feat.data).max() >= 1e-6:
             failures.append(f"draw {draw}: static-scene motion {np.abs(feat.data).max():.2e}")
 
@@ -80,7 +80,7 @@ def test_acceptance_closed_form_invariants():
         t3 = ad.Tape()
         gated = attention.motion_guided_audio(
             t3.leaf(audio), t3.zeros((d.T, d.d_a)),
-            t3.leaf(params.audio_gate.temporal_weight))
+            t3.leaf(params.arrays["audio_gate.temporal_weight"]))
         expected = 1.5 * (1.0 + 1.0 / d.T) * audio
         if np.abs(gated.data - expected).max() >= 1e-6:
             failures.append(f"draw {draw}: zero-motion closed form")

@@ -20,9 +20,7 @@ GATE_SHAPES = {
 
 
 def random_gates(tape, rng):
-    return attention.VisualGateLeaves(
-        **{name: tape.leaf(rng.normal(size=shape))
-           for name, shape in GATE_SHAPES.items()})
+    return {name: tape.leaf(rng.normal(size=shape)) for name, shape in GATE_SHAPES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,7 @@ def test_channel_stage_matches_straight_line_oracle():
     params = {name: rng.normal(size=shape) for name, shape in GATE_SHAPES.items()}
 
     t = ad.Tape("f64")
-    gates = attention.VisualGateLeaves(**{k: t.leaf(v) for k, v in params.items()})
+    gates = {k: t.leaf(v) for k, v in params.items()}
     out = attention.audio_guided_channel(t.leaf(audio), t.leaf(visual), gates)
 
     # step-by-step re-evaluation in plain numpy
@@ -168,7 +166,7 @@ def test_spatial_stage_single_location_degenerates_to_scalar_gate():
     params = {name: rng.normal(size=shape) for name, shape in GATE_SHAPES.items()}
 
     t = ad.Tape("f64")
-    gates = attention.VisualGateLeaves(**{k: t.leaf(v) for k, v in params.items()})
+    gates = {k: t.leaf(v) for k, v in params.items()}
     out = attention.audio_guided_spatial(t.leaf(audio), t.leaf(visual), gates)
 
     audio_hidden = np.maximum(audio @ params["spatial_audio"], 0)
@@ -215,10 +213,10 @@ def test_attention_gradients_match_finite_differences():
     def build_spatial(arrs):
         tape = ad.Tape("f64")
         a, v = tape.leaf(arrs[0]), tape.leaf(arrs[1])
-        gates = attention.VisualGateLeaves(*[tape.leaf(x) for x in arrs[2:]])
+        gates = dict(zip(GATE_SHAPES, [tape.leaf(x) for x in arrs[2:]]))
         chan = attention.audio_guided_channel(a, v, gates)
         out = attention.audio_guided_spatial(a, chan, gates)
-        return ad.sum_all(ad.mul(out, tape.leaf(mix4))), [a, v] + list(vars(gates).values())
+        return ad.sum_all(ad.mul(out, tape.leaf(mix4))), [a, v] + list(gates.values())
 
     result = check_gradients("attention.agva", build_spatial,
                              [audio[:3], visual] + gate_arrays)

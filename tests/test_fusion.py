@@ -16,6 +16,10 @@ def leaves(tape, *arrays):
     return [tape.leaf(a) for a in arrays]
 
 
+def branch_group(query_proj, key_proj, value_proj):
+    return {"query_proj": query_proj, "key_proj": key_proj, "value_proj": value_proj}
+
+
 def test_single_segment_identical_streams_average_the_two_value_rows():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(1, DM))
@@ -115,8 +119,8 @@ def test_identical_streams_and_params_give_identical_branches():
     rng = np.random.default_rng(6)
     s = relation_setup(rng)
     t = ad.Tape("f64")
-    branch_a = fusion.CrossModalLeaves(*leaves(t, *s["branch"]))
-    branch_v = fusion.CrossModalLeaves(*leaves(t, *s["branch"]))
+    branch_a = branch_group(*leaves(t, *s["branch"]))
+    branch_v = branch_group(*leaves(t, *s["branch"]))
     proj = t.leaf(s["audio_proj"])
     audio_rel, visual_rel = fusion.relation_aware(
         t.leaf(s["audio"]), t.leaf(s["audio"]), proj, proj, branch_a, branch_v)
@@ -127,7 +131,7 @@ def test_zero_value_projections_zero_both_branches():
     rng = np.random.default_rng(7)
     s = relation_setup(rng)
     t = ad.Tape()
-    zero_branch = fusion.CrossModalLeaves(
+    zero_branch = branch_group(
         t.leaf(s["branch"][0]), t.leaf(s["branch"][1]), t.zeros((DM, DM)))
     audio_rel, visual_rel = fusion.relation_aware(
         t.leaf(s["audio"]), t.leaf(s["visual"]), t.leaf(s["audio_proj"]),
@@ -144,8 +148,8 @@ def test_relation_matches_composed_attend_oracle():
     audio_rel, visual_rel = fusion.relation_aware(
         t.leaf(s["audio"]), t.leaf(s["visual"]), t.leaf(s["audio_proj"]),
         t.leaf(s["visual_proj"]),
-        fusion.CrossModalLeaves(*leaves(t, *s["branch"])),
-        fusion.CrossModalLeaves(*leaves(t, *branch2)))
+        branch_group(*leaves(t, *s["branch"])),
+        branch_group(*leaves(t, *branch2)))
 
     t2 = ad.Tape("f64")
     a = ad.matmul(t2.leaf(s["audio"]), t2.leaf(s["audio_proj"]))
@@ -174,7 +178,7 @@ def test_interaction_output_shape_and_residual_halves():
     t = ad.Tape()
     same = t.leaf(s["audio_rel"])
     out = fusion.interact(same, same, t.leaf(s["fused_proj"]),
-                          fusion.CrossModalLeaves(*leaves(t, *s["branch"])))
+                          branch_group(*leaves(t, *s["branch"])))
     assert out.shape == (T, 2 * DM)
     # equal branches concatenate into two identical halves of the residual
     paired = np.concatenate([s["audio_rel"], s["audio_rel"]], axis=1)
@@ -189,8 +193,8 @@ def test_zero_audio_branch_with_zero_values_reduces_to_residual():
     t = ad.Tape()
     zero = t.zeros((T, DM))
     visual_rel = t.leaf(s["visual_rel"])
-    branch = fusion.CrossModalLeaves(t.leaf(s["branch"][0]), t.leaf(s["branch"][1]),
-                                     t.zeros((DM, 2 * DM)))
+    branch = branch_group(t.leaf(s["branch"][0]), t.leaf(s["branch"][1]),
+                          t.zeros((DM, 2 * DM)))
     out = fusion.interact(zero, visual_rel, t.leaf(s["fused_proj"]), branch)
     residual = np.concatenate([np.zeros((T, DM)), s["visual_rel"]], axis=1)
     npt.assert_allclose(out.data, residual.astype(np.float32), atol=1e-7)
@@ -202,7 +206,7 @@ def test_interaction_matches_straight_line_oracle():
     t = ad.Tape("f64")
     out = fusion.interact(t.leaf(s["audio_rel"]), t.leaf(s["visual_rel"]),
                           t.leaf(s["fused_proj"]),
-                          fusion.CrossModalLeaves(*leaves(t, *s["branch"])))
+                          branch_group(*leaves(t, *s["branch"])))
 
     resonance = s["audio_rel"] * s["visual_rel"]
     paired = np.concatenate([s["audio_rel"], s["visual_rel"]], axis=1)

@@ -12,8 +12,13 @@ from avloc.gradcheck import check_gradients
 T, WIDTH, C = 6, 8, 4
 
 
+def head_group(class_weight, class_bias, event_weight, event_bias):
+    return {"class_weight": class_weight, "class_bias": class_bias,
+            "event_weight": event_weight, "event_bias": event_bias}
+
+
 def random_head_leaves(tape, rng, n_out=C, event_bias=0.0):
-    return heads.HeadLeaves(
+    return head_group(
         class_weight=tape.leaf(rng.normal(size=(WIDTH, n_out))),
         class_bias=tape.leaf(np.zeros((1, n_out))),
         event_weight=tape.leaf(rng.normal(size=(WIDTH, 1))),
@@ -40,8 +45,8 @@ def test_zero_class_weights_give_uniform_distribution():
     rng = np.random.default_rng(1)
     t = ad.Tape()
     fused = t.leaf(rng.normal(size=(T, WIDTH)))
-    hl = heads.HeadLeaves(t.zeros((WIDTH, C)), t.zeros((1, C)),
-                          t.leaf(rng.normal(size=(WIDTH, 1))), t.zeros((1, 1)))
+    hl = head_group(t.zeros((WIDTH, C)), t.zeros((1, C)),
+                    t.leaf(rng.normal(size=(WIDTH, 1))), t.zeros((1, 1)))
     probs = heads.class_distribution(fused, hl)
     npt.assert_allclose(probs.data, np.full((1, C), 1.0 / C), atol=1e-7)
 
@@ -74,8 +79,8 @@ def test_class_probs_sum_to_one_and_permutation_equivariance():
 
     def run(w, b):
         t = ad.Tape("f64")
-        hl = heads.HeadLeaves(t.leaf(w), t.leaf(b),
-                              t.leaf(np.zeros((WIDTH, 1))), t.zeros((1, 1)))
+        hl = head_group(t.leaf(w), t.leaf(b),
+                        t.leaf(np.zeros((WIDTH, 1))), t.zeros((1, 1)))
         return heads.class_distribution(t.leaf(fused), hl).data[0]
 
     base = run(weight, bias)
@@ -193,7 +198,7 @@ def test_loss_gradients_match_finite_differences():
     def build_supervised(arrs):
         tape = ad.Tape("f64")
         f, cw, cb, ew, eb = [tape.leaf(a) for a in arrs]
-        hl = heads.HeadLeaves(cw, cb, ew, eb)
+        hl = head_group(cw, cb, ew, eb)
         loss = heads.supervised_loss(heads.class_distribution(f, hl),
                                      heads.event_relevance(f, hl), 1, relevance)
         return loss, [f, cw, cb, ew, eb]

@@ -115,7 +115,7 @@ def test_temporal_attention_toggle_changes_only_through_the_audio_gate():
 def test_weak_mode_adds_a_background_column():
     cfg = ModelConfig(mode="weak")
     params = init_params(cfg, seed=6)
-    assert params.head.class_weight.shape == (128, 5)
+    assert params.arrays["head.class_weight"].shape == (128, 5)
     bundle = default_bundle(6, cfg)
     pred = predict(params, cfg, bundle)
     assert pred.class_probs.shape == (5,)

@@ -6,7 +6,7 @@ import pytest
 
 from avloc import autodiff as ad
 from avloc import motion
-from avloc.errors import ConfigError, ContractError
+from avloc.errors import ContractError
 from avloc.gradcheck import check_gradients
 
 from test_autodiff import conv2d_oracle
@@ -112,16 +112,12 @@ def test_single_segment_is_contract_error():
         motion.future_motion(aligned, t.leaf(identity_kernel(3, k=3)))
 
 
-def test_past_variant_flag_changes_which_frame_is_convolved():
+def test_past_motion_convolves_the_current_frame():
     t = ad.Tape()
     aligned = t.leaf(np.array([2.0, 5.0]).reshape(2, 1, 1, 1))
     doubling = t.leaf(2.0 * identity_kernel(1, k=3))
-    printed = motion.past_motion(aligned, doubling, "printed")
+    printed = motion.past_motion(aligned, doubling)
     npt.assert_allclose(printed.data.reshape(2), [0.0, 2 * 5 - 2])
-    conv_prev = motion.past_motion(aligned, doubling, "conv_prev")
-    npt.assert_allclose(conv_prev.data.reshape(2), [0.0, 2 * 2 - 5])
-    with pytest.raises(ConfigError):
-        motion.past_motion(aligned, doubling, "sideways")
 
 
 def test_full_pipeline_gradient_matches_finite_differences():

@@ -8,14 +8,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from avloc.cli import main
 from avloc.data import synth_dataset
-from avloc.errors import ConsistencyError, ContractError, TrainingDiverged
+from avloc.errors import (AvlocError, ConfigError, ConsistencyError, ContractError,
+                          FormatError, TrainingDiverged)
 from avloc.model import Dims, ModelConfig, init_params
 from avloc.training import (ABLATION_VARIANTS, AblationTable, MetricsReport,
                             TrainConfig, ablate, evaluate, load_checkpoint,
                             save_checkpoint, split_manifest, train)
 
 TINY = dict(T=4, d_a=6, d_v=8, h=2, w=2, classes=3)
+GOLDEN_CKPT = os.path.join(os.path.dirname(__file__), "golden", "ckpt_tiny")
 
 
 def tiny_config(**overrides):
@@ -64,21 +67,13 @@ def test_different_seed_changes_the_run(tiny_dataset):
     assert r0.losses != r1.losses
 
 
-def test_parallel_workers_match_single_thread_bitwise(tiny_dataset):
-    manifest, base = tiny_dataset
-    _, serial = train(tiny_config(epochs=2, workers=1), manifest, base)
-    _, threaded = train(tiny_config(epochs=2, workers=3), manifest, base)
-    assert serial.losses == threaded.losses
-    assert serial.accuracy == threaded.accuracy
-
-
 def test_weak_mode_trains_and_only_uses_video_labels(tiny_dataset):
     manifest, base = tiny_dataset
     cfg = tiny_config(epochs=2)
     cfg.model.mode = "weak"
     params, report = train(cfg, manifest, base)
     assert np.isfinite(report.losses).all()
-    assert params.head.class_weight.shape[1] == TINY["classes"] + 1
+    assert params.arrays["head.class_weight"].shape[1] == TINY["classes"] + 1
 
 
 def test_weak_mode_never_trains_the_event_head(tiny_dataset):
@@ -87,9 +82,10 @@ def test_weak_mode_never_trains_the_event_head(tiny_dataset):
     cfg.model.mode = "weak"
     params, _ = train(cfg, manifest, base)
     fresh = init_params(cfg.model, cfg.seed)
-    npt.assert_array_equal(params.head.event_weight, fresh.head.event_weight)
-    npt.assert_array_equal(params.head.event_bias, fresh.head.event_bias)
-    assert not np.array_equal(params.head.class_weight, fresh.head.class_weight)
+    trained, fresh = params.arrays, fresh.arrays
+    npt.assert_array_equal(trained["head.event_weight"], fresh["head.event_weight"])
+    npt.assert_array_equal(trained["head.event_bias"], fresh["head.event_bias"])
+    assert not np.array_equal(trained["head.class_weight"], fresh["head.class_weight"])
 
 
 def test_checkpoint_cadence_writes_epoch_directories(tiny_dataset, tmp_path):
@@ -100,7 +96,7 @@ def test_checkpoint_cadence_writes_epoch_directories(tiny_dataset, tmp_path):
     assert os.path.isdir(os.path.join(out, "epoch_0002"))
     assert os.path.isdir(os.path.join(out, "epoch_0004"))
     loaded, _ = load_checkpoint(os.path.join(out, "epoch_0002"))
-    assert loaded.head.class_weight.shape == (16, TINY["classes"])
+    assert loaded.arrays["head.class_weight"].shape == (16, TINY["classes"])
 
 
 def test_dataset_dims_must_match_config(tiny_dataset):
@@ -181,8 +177,8 @@ def test_background_everywhere_on_background_truth_scores_one(tmp_path):
     cfg = tiny_config()
     params = init_params(cfg.model, seed=0)
     # force every event score below threshold: bias -20 saturates the sigmoid
-    params.head.event_bias = np.full((1, 1), -20.0, dtype=np.float32)
-    params.head.event_weight = np.zeros_like(params.head.event_weight)
+    params.set_array("head.event_bias", np.full((1, 1), -20.0, dtype=np.float32))
+    params.set_array("head.event_weight", np.zeros_like(params.arrays["head.event_weight"]))
     accuracy, _, _ = evaluate(params, cfg.model, manifest, base)
     assert accuracy == 1.0
 
@@ -217,17 +213,63 @@ def test_checkpoint_files_are_deterministic(tiny_dataset, tmp_path):
         open(os.path.join(c2, "index.json")).read()
 
 
-def test_corrupt_checkpoint_is_a_typed_error(tiny_dataset, tmp_path):
+def _truncate_params(ckpt):
+    bin_path = os.path.join(ckpt, "params.bin")
+    raw = open(bin_path, "rb").read()
+    open(bin_path, "wb").write(raw[:len(raw) // 2])
+
+
+def _edit_index(edit):
+    def corrupt(ckpt):
+        path = os.path.join(ckpt, "index.json")
+        index = json.load(open(path))
+        edit(index)
+        json.dump(index, open(path, "w"))
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, error, match", [
+    pytest.param(_truncate_params, AvlocError, None, id="truncated_params"),
+    pytest.param(_edit_index(lambda ix: ix["config"].update(colour="red")),
+                 ConfigError, "colour", id="unknown_config_key"),
+    pytest.param(_edit_index(lambda ix: ix.pop("seed")),
+                 FormatError, "seed", id="missing_seed"),
+    pytest.param(_edit_index(lambda ix: ix.update(seed="0")),
+                 FormatError, "seed", id="string_seed"),
+    pytest.param(_edit_index(lambda ix: ix["config"]["dims"].update(d_a="6")),
+                 ConfigError, "d_a", id="string_dims"),
+    pytest.param(_edit_index(lambda ix: ix["config"].update(temporal_attention="no")),
+                 ConfigError, "temporal_attention", id="string_temporal_attention"),
+    pytest.param(_edit_index(lambda ix: ix["config"].update(past_variant="conv_prev")),
+                 ConfigError, "past_variant", id="unsupported_past_variant"),
+    pytest.param(_edit_index(lambda ix: ix.pop("params")),
+                 FormatError, "parameter list", id="missing_params"),
+    pytest.param(lambda ckpt: json.dump([], open(os.path.join(ckpt, "index.json"), "w")),
+                 FormatError, "index", id="index_not_an_object"),
+])
+def test_corrupt_checkpoint_is_a_typed_error(tiny_dataset, tmp_path, corrupt, error, match):
     manifest, base = tiny_dataset
     params, _ = train(tiny_config(epochs=1), manifest, base)
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(ckpt, params, tiny_config().model)
-    bin_path = os.path.join(ckpt, "params.bin")
-    raw = open(bin_path, "rb").read()
-    open(bin_path, "wb").write(raw[:len(raw) // 2])
-    from avloc.errors import AvlocError
-    with pytest.raises(AvlocError):
+    corrupt(ckpt)
+    with pytest.raises(error, match=match):
         load_checkpoint(ckpt)
+    assert main(["eval", "--manifest", os.path.join(base, "manifest.json"),
+                 "--checkpoint", ckpt, "--report", str(tmp_path / "r.json")]) == 2
+
+
+def test_golden_checkpoint_loads_and_matches_a_fresh_init(tmp_path):
+    """golden/ckpt_tiny is save_checkpoint(init_params(cfg, 3), cfg) at the
+    dims below, written while ModelConfig still had past_variant (its index
+    stores "printed"). It pins parameter names, order, shapes and RNG draws."""
+    params, cfg = load_checkpoint(GOLDEN_CKPT)
+    assert cfg.dims == Dims(T=3, d_a=3, d_v=4, h=2, w=2, classes=3, hidden=3, relation=3)
+    assert params.seed == 3
+    fresh = str(tmp_path / "fresh")
+    save_checkpoint(fresh, init_params(cfg, params.seed), cfg)
+    assert open(os.path.join(fresh, "params.bin"), "rb").read() == \
+        open(os.path.join(GOLDEN_CKPT, "params.bin"), "rb").read()
 
 
 def test_training_writes_report_and_checkpoint(tiny_dataset, tmp_path):
