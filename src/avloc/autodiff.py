@@ -8,8 +8,11 @@ topological order. `Tape.backward` is then a single reverse sweep that
 accumulates gradients per node and returns one array per requested leaf.
 
 Tensors are immutable; parameter updates happen outside the tape on plain
-numpy arrays. Storage precision is f32; an f64 tape exists for
-finite-difference gradient verification only.
+numpy arrays. Backward rules capture arrays and shapes, never Tensors: a
+Tensor refers to its tape, so capturing one would make a reference cycle that
+keeps a finished tape alive until the cyclic garbage collector runs.
+Storage precision is f32; an f64 tape exists for finite-difference gradient
+verification only.
 """
 
 from __future__ import annotations
@@ -253,8 +256,8 @@ def avg_spatial(x: Tensor) -> Tensor:
     _, h, w, _ = x.shape
     n = h * w
 
-    def backward(g):
-        return (np.broadcast_to(g[:, None, None, :], x.shape) / n,)
+    def backward(g, shape=x.shape):
+        return (np.broadcast_to(g[:, None, None, :], shape) / n,)
 
     return x.tape._record(x.data.mean(axis=(1, 2)), (x.node_id,), backward)
 
@@ -280,8 +283,8 @@ def sum_time(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise ShapeError(f"sum_time needs (T,d), got {x.shape}")
 
-    def backward(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
+    def backward(g, shape=x.shape):
+        return (np.broadcast_to(g, shape).copy(),)
 
     return x.tape._record(x.data.sum(axis=0, keepdims=True), (x.node_id,), backward)
 
@@ -289,8 +292,8 @@ def sum_time(x: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     """Any shape -> (1, 1) total."""
 
-    def backward(g):
-        return (np.full(x.shape, g.reshape(-1)[0], dtype=g.dtype),)
+    def backward(g, shape=x.shape):
+        return (np.full(shape, g.reshape(-1)[0], dtype=g.dtype),)
 
     return x.tape._record(x.data.sum().reshape(1, 1), (x.node_id,), backward)
 
@@ -315,8 +318,8 @@ def add(x: Tensor, y: Tensor) -> Tensor:
     _check_broadcast(x.shape, y.shape)
     tape = _tape_of(x, y)
 
-    def backward(g):
-        return _unbroadcast(g, x.shape), _unbroadcast(g, y.shape)
+    def backward(g, sx=x.shape, sy=y.shape):
+        return _unbroadcast(g, sx), _unbroadcast(g, sy)
 
     return tape._record(x.data + y.data, (x.node_id, y.node_id), backward)
 
@@ -325,8 +328,8 @@ def sub(x: Tensor, y: Tensor) -> Tensor:
     _check_broadcast(x.shape, y.shape)
     tape = _tape_of(x, y)
 
-    def backward(g):
-        return _unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)
+    def backward(g, sx=x.shape, sy=y.shape):
+        return _unbroadcast(g, sx), _unbroadcast(-g, sy)
 
     return tape._record(x.data - y.data, (x.node_id, y.node_id), backward)
 
@@ -336,8 +339,8 @@ def mul(x: Tensor, y: Tensor) -> Tensor:
     tape = _tape_of(x, y)
     X, Y = x.data, y.data
 
-    def backward(g):
-        return _unbroadcast(g * Y, x.shape), _unbroadcast(g * X, y.shape)
+    def backward(g, sx=x.shape, sy=y.shape):
+        return _unbroadcast(g * Y, sx), _unbroadcast(g * X, sy)
 
     return tape._record(X * Y, (x.node_id, y.node_id), backward)
 
@@ -377,8 +380,8 @@ def reshape(x: Tensor, shape) -> Tensor:
     if np.prod(shape, dtype=int) != x.data.size or not 1 <= len(shape) <= MAX_RANK:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
 
-    def backward(g):
-        return (g.reshape(x.shape),)
+    def backward(g, in_shape=x.shape):
+        return (g.reshape(in_shape),)
 
     return x.tape._record(x.data.reshape(shape), (x.node_id,), backward)
 
@@ -391,8 +394,8 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
 
-    def backward(g):
-        gx = np.zeros_like(x.data)
+    def backward(g, X=x.data):
+        gx = np.zeros_like(X)
         gx[sl] = g
         return (gx,)
 

@@ -64,10 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_config_from_manifest(manifest, args) -> ModelConfig:
-    dims = Dims(T=manifest.T, d_a=manifest.d_a, d_v=manifest.d_v,
+def _dims_of(manifest) -> Dims:
+    return Dims(T=manifest.T, d_a=manifest.d_a, d_v=manifest.d_v,
                 h=manifest.h, w=manifest.w, classes=manifest.classes)
-    return ModelConfig(dims=dims, mode=args.mode,
+
+
+def _model_config_from_manifest(manifest, args) -> ModelConfig:
+    return ModelConfig(dims=_dims_of(manifest), mode=args.mode,
                        motion=args.motion.replace("-", "_"),
                        temporal_attention=args.temporal_attention == "on",
                        scale_mode=args.scale_mode)
@@ -126,9 +129,8 @@ def _dispatch(args) -> int:
         manifest = load_manifest(args.manifest)
         base_dir = os.path.dirname(os.path.abspath(args.manifest))
         seeds = [int(s) for s in args.seeds.split(",") if s]
-        dims = Dims(T=manifest.T, d_a=manifest.d_a, d_v=manifest.d_v,
-                    h=manifest.h, w=manifest.w, classes=manifest.classes)
-        base = TrainConfig(model=ModelConfig(dims=dims), epochs=ABLATE_EPOCHS)
+        base = TrainConfig(model=ModelConfig(dims=_dims_of(manifest)),
+                           epochs=ABLATE_EPOCHS)
         table = ablate(base, manifest, base_dir, seeds)
         os.makedirs(args.out, exist_ok=True)
         json_path = os.path.join(args.out, "ablation.json")

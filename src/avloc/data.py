@@ -167,6 +167,26 @@ def save_manifest(manifest: DatasetManifest, path: str) -> None:
         os.fsync(f.fileno())
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+def _field(path: str, obj: dict, key: str, check, kind: str):
+    """obj[key] if `check` accepts it; a FormatError naming the field otherwise."""
+    value = obj[key]
+    if not check(value):
+        raise FormatError(f"{path}: manifest field {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def load_manifest(path: str) -> DatasetManifest:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -175,20 +195,26 @@ def load_manifest(path: str) -> DatasetManifest:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
         manifest = DatasetManifest(
-            version=doc["version"], classes=doc["classes"], T=doc["T"],
-            d_a=doc["d_a"], d_v=doc["d_v"], h=doc["h"], w=doc["w"],
+            version=doc["version"],
+            **{k: _field(path, doc, k, _is_int, "an integer")
+               for k in ("classes", "T", "d_a", "d_v", "h", "w")},
             entries=[
                 ManifestEntry(
-                    video_id=e["video_id"], path=e["path"],
+                    video_id=_field(path, e, "video_id", _is_str, "a string"),
+                    path=_field(path, e, "path", _is_str, "a string"),
                     label=LabelRecord(
-                        video_class=e["video_class"],
-                        segment_relevance=np.array(e["segment_relevance"]),
-                        segment_class=np.array(e["segment_class"]),
+                        video_class=_field(path, e, "video_class", _is_int, "an integer"),
+                        segment_relevance=np.array(_field(
+                            path, e, "segment_relevance", _is_int_list, "a list of integers")),
+                        segment_class=np.array(_field(
+                            path, e, "segment_class", _is_int_list, "a list of integers")),
                     ))
                 for e in doc["entries"]
             ])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise FormatError(f"{path}: manifest is missing field {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise FormatError(f"{path}: malformed manifest ({exc})") from exc
     manifest.validate()
     return manifest
 
@@ -247,8 +273,6 @@ def load_bundle(path: str, manifest: DatasetManifest, video_id: str = "") -> Fea
         visual = read_block(f, path, (manifest.T, manifest.h, manifest.w, manifest.d_v))
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after the visual block")
-    if not (np.isfinite(audio).all() and np.isfinite(visual).all()):
-        raise DataError(f"{path}: payload contains non-finite values")
     return FeatureBundle(audio=audio, visual=visual, video_id=video_id)
 
 

@@ -79,13 +79,39 @@ def check_gradients(name: str, build: Builder, arrays: Sequence[np.ndarray],
                        passed=worst_rel < REL_TOL)
 
 
-def _scalarize(out: ad.Tensor, mix: np.ndarray) -> ad.Tensor:
-    """sum(out * fixed_random_mix) exercises the whole Jacobian."""
-    return ad.sum_all(ad.mul(out, out.tape.leaf(mix)))
+def _family(rng: np.random.Generator, name: str, draw, loss: bool = False
+            ) -> list[CheckResult]:
+    """POINTS checks of one computation, named `name[p]`.
+
+    `draw()` returns `(fn, arrays)`, where fn maps one f64 leaf per array to a
+    tensor. Unless fn already returns a scalar loss, sum(out * mix) with a
+    fixed random mix, drawn after the arrays, exercises the whole Jacobian.
+    """
+    results = []
+    for p in range(POINTS):
+        fn, arrays = draw()
+        mix = None if loss else rng.normal(size=fn(*_leaves(arrays)).shape)
+
+        def build(arrs, fn=fn, mix=mix):
+            leaves = _leaves(arrs)
+            out = fn(*leaves)
+            if mix is not None:
+                out = ad.sum_all(ad.mul(out, out.tape.leaf(mix)))
+            return out, leaves
+
+        results.append(check_gradients(f"{name}[{p}]", build, arrays))
+    return results
 
 
-def _leaves(tape: ad.Tape, arrays) -> list[ad.Tensor]:
+def _leaves(arrays) -> list[ad.Tensor]:
+    """One leaf per array on a fresh f64 tape."""
+    tape = ad.Tape("f64")
     return [tape.leaf(a) for a in arrays]
+
+
+def _fixed(rng: np.random.Generator, fn, *shapes):
+    """A draw of standard-normal arrays of the given shapes for `fn`."""
+    return lambda: (fn, [rng.normal(size=s) for s in shapes])
 
 
 # ---------------------------------------------------------------------------
@@ -93,72 +119,38 @@ def _leaves(tape: ad.Tape, arrays) -> list[ad.Tensor]:
 
 
 def _op_checks(rng: np.random.Generator) -> list[CheckResult]:
-    results = []
-
-    def run(name, build, arrays):
-        results.append(check_gradients(name, build, arrays))
-
-    def unary(op_name, op, make_input):
-        for p in range(POINTS):
-            x = make_input()
-            mix = rng.normal(size=op_shape_probe(op, x))
-
-            def build(arrs, op=op, mix=mix):
-                tape = ad.Tape("f64")
-                (t,) = _leaves(tape, arrs)
-                return _scalarize(op(t), mix), [t]
-
-            run(f"tensor.{op_name}[{p}]", build, [x])
-
-    def op_shape_probe(op, x):
-        tape = ad.Tape("f64")
-        return op(tape.leaf(x)).shape
-
-    def away_from_kink():
+    def off_kink():
         z = rng.normal(size=(3, 4))
-        return z + 0.05 * np.sign(z)  # keep relu inputs off the kink
+        return ad.relu, [z + 0.05 * np.sign(z)]  # keep relu inputs off the kink
 
-    unary("relu", ad.relu, away_from_kink)
-    unary("sigmoid", ad.sigmoid, lambda: rng.normal(size=(3, 4)))
-    unary("tanh", ad.tanh, lambda: rng.normal(size=(3, 4)))
-    unary("softmax.time", lambda t: ad.softmax(t, 0), lambda: rng.normal(size=(3, 4)))
-    unary("softmax.channel", lambda t: ad.softmax(t, 1), lambda: rng.normal(size=(3, 4)))
-    unary("log_clamped", ad.log_clamped, lambda: np.abs(rng.normal(size=(3, 4))) + 0.1)
-    unary("avg_spatial", ad.avg_spatial, lambda: rng.normal(size=(3, 2, 2, 4)))
-    unary("max_time", ad.max_time, lambda: rng.normal(size=(5, 3)))
-    unary("sum_time", ad.sum_time, lambda: rng.normal(size=(5, 3)))
-    unary("sum_all", ad.sum_all, lambda: rng.normal(size=(3, 4)))
-    unary("scale", lambda t: ad.scale(t, 1.7), lambda: rng.normal(size=(3, 4)))
-    unary("transpose", ad.transpose, lambda: rng.normal(size=(3, 4)))
-    unary("reshape", lambda t: ad.reshape(t, (2, 6)), lambda: rng.normal(size=(3, 4)))
-    unary("slice_axis", lambda t: ad.slice_axis(t, 0, 1, 4), lambda: rng.normal(size=(5, 3)))
-
-    def binary(op_name, op, shape_x, shape_y):
-        for p in range(POINTS):
-            x = rng.normal(size=shape_x)
-            y = rng.normal(size=shape_y)
-            mix_probe = ad.Tape("f64")
-            probe = op(mix_probe.leaf(x), mix_probe.leaf(y))
-            mix = rng.normal(size=probe.shape)
-
-            def build(arrs, op=op, mix=mix):
-                tape = ad.Tape("f64")
-                tx, ty = _leaves(tape, arrs)
-                return _scalarize(op(tx, ty), mix), [tx, ty]
-
-            run(f"tensor.{op_name}[{p}]", build, [x, y])
-
-    binary("matmul", ad.matmul, (3, 4), (4, 2))
-    binary("add", ad.add, (3, 4), (3, 4))
-    binary("add.broadcast", ad.add, (3, 1), (3, 4))
-    binary("sub", ad.sub, (3, 4), (3, 4))
-    binary("mul", ad.mul, (3, 4), (3, 4))
-    binary("mul.broadcast", ad.mul, (3, 1), (3, 4))
-    binary("concat.time", lambda a, b: ad.concat(a, b, 0), (2, 3), (4, 3))
-    binary("concat.channel", lambda a, b: ad.concat(a, b, 1), (3, 2), (3, 4))
-    binary("conv2d.k3", ad.conv2d, (3, 4, 4, 2), (3, 3, 2, 3))
-    binary("conv2d.k1", ad.conv2d, (2, 2, 2, 3), (1, 1, 3, 2))
-    return results
+    table = [
+        ("relu", off_kink),
+        ("sigmoid", _fixed(rng, ad.sigmoid, (3, 4))),
+        ("tanh", _fixed(rng, ad.tanh, (3, 4))),
+        ("softmax.time", _fixed(rng, lambda t: ad.softmax(t, 0), (3, 4))),
+        ("softmax.channel", _fixed(rng, lambda t: ad.softmax(t, 1), (3, 4))),
+        ("log_clamped",
+         lambda: (ad.log_clamped, [np.abs(rng.normal(size=(3, 4))) + 0.1])),
+        ("avg_spatial", _fixed(rng, ad.avg_spatial, (3, 2, 2, 4))),
+        ("max_time", _fixed(rng, ad.max_time, (5, 3))),
+        ("sum_time", _fixed(rng, ad.sum_time, (5, 3))),
+        ("sum_all", _fixed(rng, ad.sum_all, (3, 4))),
+        ("scale", _fixed(rng, lambda t: ad.scale(t, 1.7), (3, 4))),
+        ("transpose", _fixed(rng, ad.transpose, (3, 4))),
+        ("reshape", _fixed(rng, lambda t: ad.reshape(t, (2, 6)), (3, 4))),
+        ("slice_axis", _fixed(rng, lambda t: ad.slice_axis(t, 0, 1, 4), (5, 3))),
+        ("matmul", _fixed(rng, ad.matmul, (3, 4), (4, 2))),
+        ("add", _fixed(rng, ad.add, (3, 4), (3, 4))),
+        ("add.broadcast", _fixed(rng, ad.add, (3, 1), (3, 4))),
+        ("sub", _fixed(rng, ad.sub, (3, 4), (3, 4))),
+        ("mul", _fixed(rng, ad.mul, (3, 4), (3, 4))),
+        ("mul.broadcast", _fixed(rng, ad.mul, (3, 1), (3, 4))),
+        ("concat.time", _fixed(rng, lambda a, b: ad.concat(a, b, 0), (2, 3), (4, 3))),
+        ("concat.channel", _fixed(rng, lambda a, b: ad.concat(a, b, 1), (3, 2), (3, 4))),
+        ("conv2d.k3", _fixed(rng, ad.conv2d, (3, 4, 4, 2), (3, 3, 2, 3))),
+        ("conv2d.k1", _fixed(rng, ad.conv2d, (2, 2, 2, 3), (1, 1, 3, 2))),
+    ]
+    return [r for name, draw in table for r in _family(rng, f"tensor.{name}", draw)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,149 +168,63 @@ def _group_shapes(prefix: str) -> dict[str, tuple[int, ...]]:
 
 
 def _motion_checks(rng) -> list[CheckResult]:
-    results = []
-    for p in range(POINTS):
-        arrays = [rng.normal(size=(_T, _H, _W, _DV)),
-                  rng.normal(size=(1, 1, _DV, _DA)),
-                  rng.normal(size=(3, 3, _DA, _DA)),
-                  rng.normal(size=(3, 3, _DA, _DA)),
-                  rng.normal(size=(_DA, _DA))]
-        mix = rng.normal(size=(_T, _DA))
-
-        def build(arrs, mix=mix):
-            tape = ad.Tape("f64")
-            leaves = _leaves(tape, arrs)
-            out = motion.motion_feature(*leaves)
-            return _scalarize(out, mix), leaves
-
-        results.append(check_gradients(f"motion.feature[{p}]", build, arrays))
-    return results
+    return _family(rng, "motion.feature", _fixed(
+        rng, motion.motion_feature, (_T, _H, _W, _DV), (1, 1, _DV, _DA),
+        (3, 3, _DA, _DA), (3, 3, _DA, _DA), (_DA, _DA)))
 
 
 def _attention_checks(rng) -> list[CheckResult]:
-    results = []
-    for p in range(POINTS):
-        arrays = [rng.normal(size=(_T, _DA)), rng.normal(size=(_T, _DA)),
-                  rng.normal(size=(_DA, 1))]
-        mix = rng.normal(size=(_T, _DA))
+    gates = _group_shapes("visual_gate")
 
-        def build(arrs, mix=mix):
-            tape = ad.Tape("f64")
-            leaves = _leaves(tape, arrs)
-            out = attention.motion_guided_audio(*leaves)
-            return _scalarize(out, mix), leaves
+    def gated(stage):
+        return _fixed(rng, lambda a, v, *g: stage(a, v, dict(zip(gates, g))),
+                      (_T, _DA), (_T, _H, _W, _DV), *gates.values())
 
-        results.append(check_gradients(f"attention.motion_guided_audio[{p}]",
-                                       build, arrays))
-
-    gate_shapes = _group_shapes("visual_gate")
-
-    def make_gate_leaves(tape, arrs):
-        return dict(zip(gate_shapes, _leaves(tape, arrs)))
-
-    for p in range(POINTS):
-        arrays = [rng.normal(size=(_T, _DA)), rng.normal(size=(_T, _H, _W, _DV))] \
-            + [rng.normal(size=s) for s in gate_shapes.values()]
-        mix = rng.normal(size=(_T, _H, _W, _DV))
-
-        def build(arrs, mix=mix):
-            tape = ad.Tape("f64")
-            a, v = _leaves(tape, arrs[:2])
-            gates = make_gate_leaves(tape, arrs[2:])
-            out = attention.audio_guided_channel(a, v, gates)
-            return _scalarize(out, mix), [a, v] + list(gates.values())
-
-        results.append(check_gradients(f"attention.audio_guided_channel[{p}]",
-                                       build, arrays))
-
-    for p in range(POINTS):
-        arrays = [rng.normal(size=(_T, _DA)), rng.normal(size=(_T, _H, _W, _DV))] \
-            + [rng.normal(size=s) for s in gate_shapes.values()]
-        mix = rng.normal(size=(_T, _DV))
-
-        def build(arrs, mix=mix):
-            tape = ad.Tape("f64")
-            a, v = _leaves(tape, arrs[:2])
-            gates = make_gate_leaves(tape, arrs[2:])
-            out = attention.audio_guided_spatial(a, v, gates)
-            return _scalarize(out, mix), [a, v] + list(gates.values())
-
-        results.append(check_gradients(f"attention.audio_guided_spatial[{p}]",
-                                       build, arrays))
-    return results
+    return (_family(rng, "attention.motion_guided_audio", _fixed(
+                rng, attention.motion_guided_audio, (_T, _DA), (_T, _DA), (_DA, 1)))
+            + _family(rng, "attention.audio_guided_channel",
+                      gated(attention.audio_guided_channel))
+            + _family(rng, "attention.audio_guided_spatial",
+                      gated(attention.audio_guided_spatial)))
 
 
 def _fusion_checks(rng) -> list[CheckResult]:
     results = []
     for scale_mode in fusion.SCALE_MODES:
-        for p in range(POINTS):
-            arrays = [rng.normal(size=(_T, _DM)), rng.normal(size=(_T, _DM)),
-                      rng.normal(size=(_DM, _DM)), rng.normal(size=(_DM, _DM)),
-                      rng.normal(size=(_DM, _DM + 1))]
-            mix = rng.normal(size=(_T, _DM + 1))
-
-            def build(arrs, mix=mix, scale_mode=scale_mode):
-                tape = ad.Tape("f64")
-                leaves = _leaves(tape, arrs)
-                out = fusion.cross_modal_attend(*leaves, scale_mode=scale_mode)
-                return _scalarize(out, mix), leaves
-
-            results.append(check_gradients(
-                f"fusion.cross_modal_attend.{scale_mode}[{p}]", build, arrays))
-
-    for p in range(POINTS):
-        arrays = [rng.normal(size=(_T, _DM)), rng.normal(size=(_T, _DM)),
-                  rng.normal(size=(2 * _DM, _DM)),
-                  rng.normal(size=(_DM, _DM)), rng.normal(size=(_DM, _DM)),
-                  rng.normal(size=(_DM, 2 * _DM))]
-        mix = rng.normal(size=(_T, 2 * _DM))
-
-        def build(arrs, mix=mix):
-            tape = ad.Tape("f64")
-            leaves = _leaves(tape, arrs)
-            branch = dict(zip(_group_shapes("interaction"), leaves[3:]))
-            out = fusion.interact(leaves[0], leaves[1], leaves[2], branch)
-            return _scalarize(out, mix), leaves
-
-        results.append(check_gradients(f"fusion.interact[{p}]", build, arrays))
-    return results
+        results += _family(rng, f"fusion.cross_modal_attend.{scale_mode}", _fixed(
+            rng, lambda q, c, *w, mode=scale_mode: fusion.cross_modal_attend(
+                q, c, *w, scale_mode=mode),
+            (_T, _DM), (_T, _DM), (_DM, _DM), (_DM, _DM), (_DM, _DM + 1)))
+    branch = _group_shapes("interaction")
+    return results + _family(rng, "fusion.interact", _fixed(
+        rng, lambda a, v, proj, *w: fusion.interact(a, v, proj, dict(zip(branch, w))),
+        (_T, _DM), (_T, _DM), (2 * _DM, _DM), *branch.values()))
 
 
 def _head_checks(rng) -> list[CheckResult]:
-    results = []
     width = 2 * _DM
-    for p in range(POINTS):
+    head = _group_shapes("head")
+
+    def supervised():
         relevance = rng.integers(0, 2, size=_T)
         video_class = int(rng.integers(_C))
-        arrays = [rng.normal(size=(_T, width)), rng.normal(size=(width, _C)),
-                  rng.normal(size=(1, _C)), rng.normal(size=(width, 1)),
-                  rng.normal(size=(1, 1))]
 
-        def build(arrs, relevance=relevance, video_class=video_class):
-            tape = ad.Tape("f64")
-            fused, cw, cb, ew, eb = _leaves(tape, arrs)
-            hl = dict(zip(_group_shapes("head"), (cw, cb, ew, eb)))
-            loss = heads.supervised_loss(heads.class_distribution(fused, hl),
+        def fn(fused, *weights):
+            hl = dict(zip(head, weights))
+            return heads.supervised_loss(heads.class_distribution(fused, hl),
                                          heads.event_relevance(fused, hl),
                                          video_class, relevance)
-            return loss, [fused, cw, cb, ew, eb]
 
-        results.append(check_gradients(f"heads.supervised_loss[{p}]", build, arrays))
+        return _fixed(rng, fn, (_T, width), *head.values())()
 
-    for p in range(POINTS):
+    def weak():
         video_class = int(rng.integers(_C + 1))
-        arrays = [rng.normal(size=(_T, width)), rng.normal(size=(width, _C + 1)),
-                  rng.normal(size=(1, _C + 1))]
+        return _fixed(rng, lambda fused, cw, cb: heads.weak_aggregate_loss(
+            ad.add(ad.matmul(fused, cw), cb), video_class),
+            (_T, width), (width, _C + 1), (1, _C + 1))()
 
-        def build(arrs, video_class=video_class):
-            tape = ad.Tape("f64")
-            fused, cw, cb = _leaves(tape, arrs)
-            logits = ad.add(ad.matmul(fused, cw), cb)
-            return heads.weak_aggregate_loss(logits, video_class), [fused, cw, cb]
-
-        results.append(check_gradients(f"heads.weak_aggregate_loss[{p}]",
-                                       build, arrays))
-    return results
+    return (_family(rng, "heads.supervised_loss", supervised, loss=True)
+            + _family(rng, "heads.weak_aggregate_loss", weak, loss=True))
 
 
 def _model_checks(rng) -> list[CheckResult]:

@@ -26,6 +26,7 @@ from .model import (ForwardPass, ModelConfig, ModelParams, init_params,
                     param_table, predict, run_forward)
 
 CHECKPOINT_VERSION = "avloc-checkpoint-1"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -34,9 +35,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     learning_rate: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     checkpoint_every: int = 0   # epochs between checkpoints; 0 = final only
 
@@ -60,9 +58,7 @@ class MetricsReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {"losses": self.losses, "accuracy": self.accuracy,
-                "per_class": self.per_class, "config": self.config,
-                "wall_time_s": self.wall_time_s}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricsReport":
@@ -72,12 +68,10 @@ class MetricsReport:
 
 
 class Adam:
-    """Per-parameter adaptive moments (decay 0.9/0.999, epsilon 1e-8)."""
+    """Per-parameter adaptive moments with the module's ADAM_* constants."""
 
-    def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: ModelParams, lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.step_count = 0
         self.m = {n: np.zeros_like(a) for n, a in params.items()}
         self.v = {n: np.zeros_like(a) for n, a in params.items()}
@@ -85,14 +79,14 @@ class Adam:
     def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
+        bias1 = 1.0 - ADAM_BETA1 ** t
+        bias2 = 1.0 - ADAM_BETA2 ** t
         for name, current in params.items():
             g = grads[name].astype(np.float32)
-            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
             update = (self.lr * (m / bias1)
-                      / (np.sqrt(v / bias2) + np.float32(self.epsilon)))
+                      / (np.sqrt(v / bias2) + np.float32(ADAM_EPSILON)))
             params.set_array(name, current - update)
 
 
@@ -136,7 +130,7 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
     _check_dims(cfg.model, manifest)
 
     params = init_params(cfg.model, cfg.seed)
-    opt = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+    opt = Adam(params, cfg.learning_rate)
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):

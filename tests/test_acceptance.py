@@ -24,6 +24,7 @@ GRADIENT_TIME_BUDGET_S = 120.0
 LEARNABILITY_TIME_BUDGET_S = 300.0
 LEARNABILITY_TARGET = 0.95
 ABLATION_MARGIN = 0.005  # pfme may trail no-motion by at most half a point
+GRADCHECK_NAMES = os.path.join(os.path.dirname(__file__), "golden", "gradcheck_names.txt")
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -37,9 +38,12 @@ def test_acceptance_gradient_suite():
     results = gradcheck.run()
     elapsed = time.perf_counter() - started
     failed = [r for r in results if not r.passed]
-    ok = not failed and elapsed < GRADIENT_TIME_BUDGET_S
+    with open(GRADCHECK_NAMES, encoding="utf-8") as f:
+        same_checks = [r.name for r in results] == f.read().splitlines()
+    ok = not failed and same_checks and elapsed < GRADIENT_TIME_BUDGET_S
     report("gradient-suite", ok,
-           f"{len(results)} checks, {len(failed)} failed, {elapsed:.1f}s")
+           f"{len(results)} checks, {len(failed)} failed, {elapsed:.1f}s, "
+           f"names match the golden list: {same_checks}")
     for r in failed:
         print("  ", r.line())
     assert ok

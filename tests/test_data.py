@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from avloc.cli import main
 from avloc.data import (DatasetManifest, FeatureBundle, LabelRecord,
                         ManifestEntry, load_bundle, load_entry, load_manifest,
                         nearest_prototype_accuracy, save_bundle, save_manifest,
@@ -191,14 +192,43 @@ def test_manifest_json_round_trip(tmp_path):
     npt.assert_array_equal(loaded.entries[0].label.segment_class, [0, 0, 2, 2])
 
 
-def test_manifest_garbage_is_format_error(tmp_path):
+def _manifest_text(entry=(), **header) -> str:
+    """A valid one-video manifest with some header or entry fields replaced."""
+    doc = {"version": "x", "classes": 2, "T": 2, "d_a": 1, "d_v": 1, "h": 1, "w": 1,
+           **header}
+    doc["entries"] = [{"video_id": "a", "path": "a.avf", "video_class": 0,
+                       "segment_relevance": [1, 0], "segment_class": [0, 2],
+                       **dict(entry)}]
+    return json.dumps(doc)
+
+
+GARBAGE_MANIFESTS = {  # case -> (manifest text, what the error must name)
+    "not_json": ("{not json", "JSON"),
+    "missing_fields": (json.dumps({"version": "x"}), "classes"),
+    "string_T": (_manifest_text(T="4"), "'T'"),
+    "float_classes": (_manifest_text(classes=2.0), "'classes'"),
+    "bool_h": (_manifest_text(h=True), "'h'"),
+    "string_video_class": (_manifest_text({"video_class": "1"}), "'video_class'"),
+    "string_relevance": (_manifest_text({"segment_relevance": ["a", "b"]}),
+                         "'segment_relevance'"),
+    "float_segment_class": (_manifest_text({"segment_class": [0.0, 2.0]}),
+                            "'segment_class'"),
+    "int_path": (_manifest_text({"path": 3}), "'path'"),
+    "int_video_id": (_manifest_text({"video_id": 7}), "'video_id'"),
+    "entries_not_a_list": (json.dumps({**json.loads(_manifest_text()), "entries": 3}),
+                           "malformed"),
+    "label_beyond_int64": (_manifest_text({"segment_class": [10**30, 2]}), "malformed"),
+}
+
+
+@pytest.mark.parametrize("case", list(GARBAGE_MANIFESTS))
+def test_manifest_garbage_is_format_error(tmp_path, case):
+    text, names = GARBAGE_MANIFESTS[case]
     path = str(tmp_path / "manifest.json")
-    open(path, "w").write("{not json")
-    with pytest.raises(FormatError):
+    open(path, "w").write(text)
+    with pytest.raises(FormatError, match=names):
         load_manifest(path)
-    open(path, "w").write(json.dumps({"version": "x"}))
-    with pytest.raises(FormatError):
-        load_manifest(path)
+    assert main(["train", "--manifest", path, "--out", str(tmp_path / "run")]) == 2
 
 
 # ---------------------------------------------------------------------------

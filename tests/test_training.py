@@ -1,21 +1,24 @@
 """Training loop, evaluation, checkpoints, ablation machinery."""
 
 import copy
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from avloc import autodiff as ad
 from avloc.cli import main
-from avloc.data import synth_dataset
+from avloc.data import load_entry, synth_dataset
 from avloc.errors import (AvlocError, ConfigError, ConsistencyError, ContractError,
                           FormatError, TrainingDiverged)
-from avloc.model import Dims, ModelConfig, init_params
+from avloc.model import Dims, ModelConfig, init_params, predict
 from avloc.training import (ABLATION_VARIANTS, AblationTable, MetricsReport,
-                            TrainConfig, ablate, evaluate, load_checkpoint,
-                            save_checkpoint, split_manifest, train)
+                            TrainConfig, _video_loss, ablate, evaluate,
+                            load_checkpoint, save_checkpoint, split_manifest, train)
 
 TINY = dict(T=4, d_a=6, d_v=8, h=2, w=2, classes=3)
 GOLDEN_CKPT = os.path.join(os.path.dirname(__file__), "golden", "ckpt_tiny")
@@ -115,6 +118,32 @@ def test_divergence_aborts_with_module_diagnostic(tiny_dataset):
     # poisoning the learning rate diverges within a couple of steps
     with pytest.raises(TrainingDiverged, match="module"):
         train(cfg, manifest, base)
+
+
+def test_finished_tapes_are_freed_without_the_cycle_collector(tiny_dataset, monkeypatch):
+    manifest, base = tiny_dataset
+    cfg = tiny_config().model
+    params = init_params(cfg, 0)
+    entry = manifest.entries[0]
+    bundle = load_entry(manifest, entry, base)
+    tapes = []
+
+    class RecordingTape(ad.Tape):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(ad, "Tape", RecordingTape)
+    gc.disable()
+    try:
+        _, _, fwd = _video_loss(params, cfg, bundle.audio, bundle.visual, entry.label)
+        assert len(tapes) == 1 and fwd.class_probs.tape is tapes[0]()
+        del fwd  # the training step's last reference to its tape
+        assert tapes[0]() is None
+        predict(params, cfg, bundle)
+        assert len(tapes) == 2 and tapes[1]() is None
+    finally:
+        gc.enable()
 
 
 def test_loss_curve_is_monotone_on_noiseless_data(tmp_path):
