@@ -9,7 +9,7 @@ import sys
 
 from . import gradcheck
 from .data import load_manifest, synth_dataset
-from .errors import AvlocError
+from .errors import AvlocError, ConfigError
 from .model import Dims, ModelConfig
 from .training import (TrainConfig, ablate, evaluate, load_checkpoint, train)
 
@@ -64,18 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dims_of(manifest) -> Dims:
-    return Dims(T=manifest.T, d_a=manifest.d_a, d_v=manifest.d_v,
-                h=manifest.h, w=manifest.w, classes=manifest.classes)
-
-
-def _model_config_from_manifest(manifest, args) -> ModelConfig:
-    return ModelConfig(dims=_dims_of(manifest), mode=args.mode,
-                       motion=args.motion.replace("-", "_"),
-                       temporal_attention=args.temporal_attention == "on",
-                       scale_mode=args.scale_mode)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -94,10 +82,16 @@ def _dispatch(args) -> int:
               f"{os.path.join(args.out, 'manifest.json')}")
         return 0
 
-    if args.command == "train":
+    if args.command in ("train", "eval", "ablate"):
         manifest = load_manifest(args.manifest)
         base_dir = os.path.dirname(os.path.abspath(args.manifest))
-        model_cfg = _model_config_from_manifest(manifest, args)
+        dims = Dims(**manifest.feature_dims())
+
+    if args.command == "train":
+        model_cfg = ModelConfig(dims=dims, mode=args.mode,
+                                motion=args.motion.replace("-", "_"),
+                                temporal_attention=args.temporal_attention == "on",
+                                scale_mode=args.scale_mode)
         cfg = TrainConfig(model=model_cfg, epochs=args.epochs,
                           batch_size=args.batch, learning_rate=args.lr,
                           seed=args.seed)
@@ -108,8 +102,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "eval":
-        manifest = load_manifest(args.manifest)
-        base_dir = os.path.dirname(os.path.abspath(args.manifest))
         params, model_cfg = load_checkpoint(args.checkpoint)
         accuracy, per_class, predictions = evaluate(params, model_cfg,
                                                     manifest, base_dir)
@@ -126,11 +118,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "ablate":
-        manifest = load_manifest(args.manifest)
-        base_dir = os.path.dirname(os.path.abspath(args.manifest))
-        seeds = [int(s) for s in args.seeds.split(",") if s]
-        base = TrainConfig(model=ModelConfig(dims=_dims_of(manifest)),
-                           epochs=ABLATE_EPOCHS)
+        try:
+            seeds = [int(s) for s in args.seeds.split(",") if s]
+        except ValueError as exc:
+            raise ConfigError(f"--seeds must be integers, got {args.seeds!r}") from exc
+        base = TrainConfig(model=ModelConfig(dims=dims), epochs=ABLATE_EPOCHS)
         table = ablate(base, manifest, base_dir, seeds)
         os.makedirs(args.out, exist_ok=True)
         json_path = os.path.join(args.out, "ablation.json")

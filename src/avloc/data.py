@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (ConsistencyError, ContractError, DataError, FormatError,
-                     LabelError)
+from .errors import (ConfigError, ConsistencyError, ContractError, DataError,
+                     FormatError, LabelError)
 
 MAGIC = b"AVF1"
 _MAX_RANK = 4
@@ -111,23 +111,47 @@ class ManifestEntry:
     label: LabelRecord
 
 
+def dim(default: int, floor: int = 1):
+    """An int field that `FeatureDims.validate` holds to at least `floor`."""
+    return field(default=default, metadata={"floor": floor})
+
+
 @dataclass
-class DatasetManifest:
+class FeatureDims:
+    """The sizes every video of a dataset shares (desk-scale defaults), in
+    the manifest's header order."""
+
+    classes: int = dim(4, floor=2)
+    T: int = dim(10, floor=2)  # motion extraction needs a neighbor segment
+    d_a: int = dim(32)
+    d_v: int = dim(64)
+    h: int = dim(3)
+    w: int = dim(3)
+
+    def validate(self) -> None:
+        """Every `dim` field, subclasses' included, is an int >= its floor."""
+        for f in fields(self):
+            value, floor = getattr(self, f.name), f.metadata.get("floor")
+            if floor is not None and not (_is_int(value) and value >= floor):
+                raise ConfigError(f"{type(self).__name__} field {f.name!r} must be "
+                                  f"an int >= {floor}, got {value!r}")
+
+    def feature_dims(self) -> dict[str, int]:
+        """The FeatureDims fields alone, in header order."""
+        return {f.name: getattr(self, f.name) for f in fields(FeatureDims)}
+
+    def shapes(self) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
+        """The audio (T, d_a) and visual (T, h, w, d_v) array shapes."""
+        return (self.T, self.d_a), (self.T, self.h, self.w, self.d_v)
+
+
+@dataclass(kw_only=True)
+class DatasetManifest(FeatureDims):
     version: str
-    classes: int
-    T: int
-    d_a: int
-    d_v: int
-    h: int
-    w: int
     entries: list[ManifestEntry] = field(default_factory=list)
 
     def validate(self) -> None:
-        for name in ("classes", "T", "d_a", "d_v", "h", "w"):
-            if getattr(self, name) < 1:
-                raise ConsistencyError(f"manifest field {name} must be >= 1")
-        if self.classes < 2:
-            raise ConsistencyError("need at least 2 classes")
+        super().validate()
         seen = set()
         for entry in self.entries:
             if entry.video_id in seen:
@@ -142,9 +166,7 @@ class DatasetManifest:
     def to_json(self) -> str:
         doc = {
             "version": self.version,
-            "classes": self.classes,
-            "T": self.T, "d_a": self.d_a, "d_v": self.d_v,
-            "h": self.h, "w": self.w,
+            **self.feature_dims(),
             "entries": [
                 {
                     "video_id": e.video_id,
@@ -195,9 +217,9 @@ def load_manifest(path: str) -> DatasetManifest:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
         manifest = DatasetManifest(
-            version=doc["version"],
-            **{k: _field(path, doc, k, _is_int, "an integer")
-               for k in ("classes", "T", "d_a", "d_v", "h", "w")},
+            version=_field(path, doc, "version", _is_str, "a string"),
+            **{f.name: _field(path, doc, f.name, _is_int, "an integer")
+               for f in fields(FeatureDims)},
             entries=[
                 ManifestEntry(
                     video_id=_field(path, e, "video_id", _is_str, "a string"),
@@ -269,8 +291,7 @@ def save_bundle(bundle: FeatureBundle, path: str) -> None:
 def load_bundle(path: str, manifest: DatasetManifest, video_id: str = "") -> FeatureBundle:
     """Read one feature file, checking every block against the manifest dims."""
     with open(path, "rb") as f:
-        audio = read_block(f, path, (manifest.T, manifest.d_a))
-        visual = read_block(f, path, (manifest.T, manifest.h, manifest.w, manifest.d_v))
+        audio, visual = [read_block(f, path, shape) for shape in manifest.shapes()]
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after the visual block")
     return FeatureBundle(audio=audio, visual=visual, video_id=video_id)
@@ -316,14 +337,13 @@ def _unit_noise(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
     return rng.normal(0.0, scale / np.sqrt(dim), size=shape)
 
 
-def synth_dataset(out_dir: str, seed: int, n_videos: int, *, T: int = 10,
-                  d_a: int = 32, d_v: int = 64, h: int = 3, w: int = 3,
-                  classes: int = 4, snr: float = 3.0,
+def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
                   distractor_prob: float = 0.5,
                   background_fraction: float = 0.0,
                   drift_step: float = np.pi / 2,
                   amplitude: float = 4.0,
-                  clutter: float = 1.0) -> tuple[DatasetManifest, SynthInfo]:
+                  clutter: float = 1.0,
+                  **dims: int) -> tuple[DatasetManifest, SynthInfo]:
     """Generate a planted-event dataset and write it under `out_dir`.
 
     Each video gets a class and an event span. Inside the span the audio is
@@ -335,6 +355,9 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, T: int = 10,
     audio leaks the class prototype while the visuals stay frozen. Everything
     is deterministic in `seed`.
 
+    `dims` are FeatureDims fields by keyword (its defaults otherwise). Bad
+    arguments raise before anything is written.
+
     `snr` is the ratio of prototype norm to expected noise norm; `amplitude`
     scales signal and noise together (it changes activation magnitudes, not
     separability). `clutter` scales the static background frame relative to
@@ -342,22 +365,25 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, T: int = 10,
     detection while leaving temporal differences untouched, which is what
     gives motion-based discrimination its edge.
     """
-    if classes < 2:
-        raise ContractError("need at least 2 classes")
-    if T < 2 or min(d_a, d_v, h, w) < 1:
-        raise ContractError(f"invalid dims T={T} d_a={d_a} d_v={d_v} h={h} w={w}")
+    manifest = DatasetManifest(version=MANIFEST_VERSION,
+                               **FeatureDims(**dims).feature_dims())
+    manifest.validate()
+    if not snr > 0:
+        raise ContractError(f"snr must be positive, got {snr}")
+    if n_videos < 0:
+        raise ContractError(f"n_videos must be >= 0, got {n_videos}")
     noise_scale = 0.0 if np.isinf(snr) else 1.0 / float(snr)
+    classes, T = manifest.classes, manifest.T
+    audio_shape, visual_shape = manifest.shapes()
+    frame = visual_shape[1:]
+
+    children = np.random.SeedSequence(seed).spawn(n_videos + 1)
+    proto_rng = np.random.default_rng(children[0])
+    audio_protos = _orthonormal_rows(proto_rng, classes, manifest.d_a)
+    visual_patterns = _orthonormal_rows(proto_rng, 2 * classes, int(np.prod(frame))) \
+        .reshape(classes, 2, *frame)
 
     os.makedirs(out_dir, exist_ok=True)
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(n_videos + 1)
-    proto_rng = np.random.default_rng(children[0])
-    audio_protos = _orthonormal_rows(proto_rng, classes, d_a)
-    visual_patterns = _orthonormal_rows(proto_rng, 2 * classes, h * w * d_v) \
-        .reshape(classes, 2, h, w, d_v)
-
-    manifest = DatasetManifest(version=MANIFEST_VERSION, classes=classes,
-                               T=T, d_a=d_a, d_v=d_v, h=h, w=w)
     spans: list[tuple[int, int]] = []
     masks: list[np.ndarray] = []
     for i in range(n_videos):
@@ -370,9 +396,9 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, T: int = 10,
             start, length = 0, 0
         end = start + length
 
-        background = _unit_noise(rng, (h, w, d_v), clutter * noise_scale)  # static scene
-        audio = _unit_noise(rng, (T, d_a), noise_scale)
-        visual = background[None] + _unit_noise(rng, (T, h, w, d_v), noise_scale)
+        background = _unit_noise(rng, frame, clutter * noise_scale)  # static scene
+        audio = _unit_noise(rng, audio_shape, noise_scale)
+        visual = background[None] + _unit_noise(rng, visual_shape, noise_scale)
         distractor = np.zeros(T, dtype=bool)
         for t in range(T):
             if start <= t < end:

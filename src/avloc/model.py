@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import attention, fusion, heads, motion
-from .data import FeatureBundle
+from .data import FeatureBundle, FeatureDims, dim
 from .errors import ConfigError, ShapeError
 from .heads import Prediction
 
@@ -26,27 +26,12 @@ MODES = ("supervised", "weak")
 
 
 @dataclass
-class Dims:
-    """Desk-scale defaults; a production-scale config would be
-    d_a=128, d_v=512, h=w=7, hidden=512, relation=256."""
+class Dims(FeatureDims):
+    """A dataset's FeatureDims plus the model's widths. A production-scale
+    config would be d_a=128, d_v=512, h=w=7, hidden=512, relation=256."""
 
-    T: int = 10
-    d_a: int = 32
-    d_v: int = 64
-    h: int = 3
-    w: int = 3
-    classes: int = 4
-    hidden: int = 64     # shared hidden width of the visual gates
-    relation: int = 64   # channel width of the relation branches
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"dims field {f.name} must be an int, got {value!r}")
-            floor = 2 if f.name in ("T", "classes") else 1
-            if value < floor:
-                raise ConfigError(f"dims field {f.name} must be >= {floor}, got {value}")
+    hidden: int = dim(64)     # shared hidden width of the visual gates
+    relation: int = dim(64)   # channel width of the relation branches
 
 
 def _check_keys(cls, doc, legacy: tuple[str, ...] = ()) -> None:
@@ -222,9 +207,9 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
                 visual: np.ndarray, cfg: ModelConfig) -> ForwardPass:
     cfg.validate()
     d = cfg.dims
-    if tuple(audio.shape) != (d.T, d.d_a) or tuple(visual.shape) != (d.T, d.h, d.w, d.d_v):
+    if (audio.shape, visual.shape) != d.shapes():
         raise ShapeError(f"features {audio.shape}/{visual.shape} do not match "
-                         f"config dims T={d.T} d_a={d.d_a} d_v={d.d_v} h={d.h} w={d.w}")
+                         f"the config's {d.shapes()}")
     leaves = {name: tape.leaf(arr) for name, arr in params.items()}
     audio_in = tape.leaf(audio)
     visual_in = tape.leaf(visual)

@@ -169,12 +169,10 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
 
 
 def _check_dims(cfg: ModelConfig, manifest: DatasetManifest) -> None:
-    d = cfg.dims
-    got = (manifest.T, manifest.d_a, manifest.d_v, manifest.h, manifest.w,
-           manifest.classes)
-    want = (d.T, d.d_a, d.d_v, d.h, d.w, d.classes)
-    if got != want:
-        raise ConsistencyError(f"dataset dims {got} do not match config dims {want}")
+    got, want = manifest.feature_dims(), cfg.dims.feature_dims()
+    differ = [f"{k}={got[k]} (config {want[k]})" for k in want if got[k] != want[k]]
+    if differ:
+        raise ConsistencyError(f"dataset dims do not match the config: {', '.join(differ)}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +353,8 @@ def ablate(base: TrainConfig, manifest: DatasetManifest, base_dir: str,
     rows = []
     for variant, motion_mode, temporal in ABLATION_VARIANTS:
         for seed in seeds:
-            cfg = replace(base, seed=seed,
-                          model=ModelConfig.from_dict(base.model.to_dict()))
-            cfg.model.motion = motion_mode
-            cfg.model.temporal_attention = temporal
+            cfg = replace(base, seed=seed, model=replace(
+                base.model, motion=motion_mode, temporal_attention=temporal))
             params, _ = train(cfg, train_manifest, base_dir)
             accuracy, _, _ = evaluate(params, cfg.model, held_manifest, base_dir)
             rows.append(AblationRow(variant=variant, seed=seed, accuracy=accuracy))

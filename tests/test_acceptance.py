@@ -9,6 +9,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from avloc import autodiff as ad
 from avloc import attention, gradcheck, heads, motion
@@ -121,6 +122,7 @@ def test_acceptance_closed_form_invariants():
     assert ok
 
 
+@pytest.mark.slow
 def test_acceptance_learnability(tmp_path):
     base = str(tmp_path / "default")
     manifest, info = synth_dataset(base, seed=0, n_videos=64, T=10, d_a=32,
@@ -139,6 +141,7 @@ def test_acceptance_learnability(tmp_path):
     assert result.wall_time_s < LEARNABILITY_TIME_BUDGET_S
 
 
+@pytest.mark.slow
 def test_acceptance_directional_ablation(tmp_path):
     # Trend check, not a reproduction of reported deltas: the best-configured
     # past+future-motion variant must not trail the no-motion baseline by

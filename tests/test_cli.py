@@ -99,6 +99,21 @@ def test_ablate_writes_json_and_csv(dataset, workspace, monkeypatch):
     assert set(doc["summary"]) == {r.variant for r in table.rows}
 
 
+@pytest.mark.parametrize("command,message", [
+    (["synth", "--snr", "0"], "snr"),
+    (["synth", "--snr", "-1"], "snr"),
+    (["synth", "--videos", "-1"], "n_videos"),
+    (["ablate", "--seeds", "1,x"], "--seeds"),
+], ids=["zero_snr", "negative_snr", "negative_videos", "unparsable_seeds"])
+def test_bad_cli_input_is_a_typed_error(dataset, workspace, capsys, command,
+                                        message):
+    out = os.path.join(workspace, "bad_input")
+    target = ["--out", out] + (["--manifest", dataset] if command[0] == "ablate" else [])
+    assert main(command + target) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_gradcheck_command_exits_zero_on_success(capsys):
     assert main(["gradcheck", "--module", "motion"]) == 0
     out = capsys.readouterr().out

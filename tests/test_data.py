@@ -12,8 +12,8 @@ from avloc.data import (DatasetManifest, FeatureBundle, LabelRecord,
                         ManifestEntry, load_bundle, load_entry, load_manifest,
                         nearest_prototype_accuracy, save_bundle, save_manifest,
                         synth_dataset, validate_dataset)
-from avloc.errors import (AvlocError, ConsistencyError, ContractError,
-                          DataError, FormatError, LabelError)
+from avloc.errors import (AvlocError, ConfigError, ConsistencyError,
+                          ContractError, DataError, FormatError, LabelError)
 
 
 def small_manifest(T=4, d_a=3, d_v=2, h=2, w=2, classes=2):
@@ -218,6 +218,8 @@ GARBAGE_MANIFESTS = {  # case -> (manifest text, what the error must name)
     "entries_not_a_list": (json.dumps({**json.loads(_manifest_text()), "entries": 3}),
                            "malformed"),
     "label_beyond_int64": (_manifest_text({"segment_class": [10**30, 2]}), "malformed"),
+    "int_version": (_manifest_text(version=3), "'version'"),
+    "null_version": (_manifest_text(version=None), "'version'"),
 }
 
 
@@ -227,6 +229,15 @@ def test_manifest_garbage_is_format_error(tmp_path, case):
     path = str(tmp_path / "manifest.json")
     open(path, "w").write(text)
     with pytest.raises(FormatError, match=names):
+        load_manifest(path)
+    assert main(["train", "--manifest", path, "--out", str(tmp_path / "run")]) == 2
+
+
+@pytest.mark.parametrize("field,value", [("classes", 1), ("T", 1), ("d_a", 0)])
+def test_manifest_dims_below_their_floor_are_config_errors(tmp_path, field, value):
+    path = str(tmp_path / "manifest.json")
+    open(path, "w").write(_manifest_text(**{field: value}))
+    with pytest.raises(ConfigError, match=f"'{field}'"):
         load_manifest(path)
     assert main(["train", "--manifest", path, "--out", str(tmp_path / "run")]) == 2
 
@@ -322,7 +333,9 @@ def test_background_fraction_produces_valid_negative_videos(tmp_path):
 
 
 def test_generator_rejects_bad_dims(tmp_path):
-    with pytest.raises(ContractError):
-        synth_dataset(str(tmp_path), seed=0, n_videos=2, classes=1)
-    with pytest.raises(ContractError):
-        synth_dataset(str(tmp_path), seed=0, n_videos=2, T=1)
+    out = str(tmp_path / "out")
+    with pytest.raises(ConfigError):
+        synth_dataset(out, seed=0, n_videos=2, classes=1)
+    with pytest.raises(ConfigError):
+        synth_dataset(out, seed=0, n_videos=2, T=1)
+    assert not os.path.exists(out)

@@ -106,7 +106,7 @@ def test_dataset_dims_must_match_config(tiny_dataset):
     manifest, base = tiny_dataset
     cfg = tiny_config()
     cfg.model.dims.d_a = 5
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="d_a"):
         train(cfg, manifest, base)
 
 
@@ -348,6 +348,7 @@ def test_ablate_requires_two_seeds(tiny_dataset):
         ablate(tiny_config(), manifest, base, seeds=[0])
 
 
+@pytest.mark.slow
 def test_every_variant_solves_a_noiseless_dataset(tmp_path):
     # without noise or distractors the task is too easy to separate variants
     dims = dict(T=6, d_a=16, d_v=24, h=2, w=2, classes=3)
