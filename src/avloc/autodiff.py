@@ -69,18 +69,25 @@ class Tape:
         self.dtype = _DTYPES[precision]
         self._inputs: list[tuple[int, ...]] = []
         self._backwards: list[Callable | None] = []
+        self._selective: set[int] = set()  # nodes whose rule takes `needed`
         self._consumed = False
 
     def __len__(self) -> int:
         return len(self._inputs)
 
-    def _record(self, data, input_ids: tuple[int, ...], backward) -> Tensor:
+    def _record(self, data, input_ids: tuple[int, ...], backward,
+                selective: bool = False) -> Tensor:
+        """Append a node. A rule is called as backward(g) and returns one
+        gradient per input; a `selective` rule is called as backward(g, needed)
+        and may return None for an input whose `needed` flag is False."""
         data = np.asarray(data, dtype=self.dtype)
         if not data.flags.c_contiguous:
             data = np.ascontiguousarray(data)
         node_id = len(self._inputs)
         self._inputs.append(input_ids)
         self._backwards.append(backward)
+        if selective:
+            self._selective.add(node_id)
         return Tensor(data, self, node_id)
 
     def leaf(self, data) -> Tensor:
@@ -94,10 +101,12 @@ class Tape:
         """Reverse sweep from a scalar loss; returns one gradient per leaf.
 
         Gradients of multiply-used nodes accumulate by summation, and leaves
-        the loss never touched come back as zeros of the leaf shape. A tape
-        supports exactly one backward pass: the returned gradients are plain
-        arrays, so there is nothing differentiable left for a second-order
-        pass and asking for one is a contract violation.
+        the loss never touched come back as zeros of the leaf shape. Only
+        nodes from which a requested leaf can be reached take part: no other
+        node's rule runs or receives a gradient. A tape supports exactly one
+        backward pass: the returned gradients are plain arrays, so there is
+        nothing differentiable left for a second-order pass and asking for
+        one is a contract violation.
         """
         if loss.tape is not self:
             raise ContractError("loss tensor lives on a different tape")
@@ -110,15 +119,33 @@ class Tape:
             raise ContractError("tape already differentiated; double-backward is not supported")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+        # reach[n]: a requested leaf can be reached from node n
+        requested = {t.node_id for t in leaves}
+        reach = [node_id in requested for node_id in range(loss.node_id + 1)]
+        for node_id, input_ids in enumerate(self._inputs[:loss.node_id + 1]):
+            for i in input_ids:
+                if reach[i]:
+                    reach[node_id] = True
+                    break
+
+        grads: dict[int, np.ndarray] = {}
+        if reach[loss.node_id]:
+            grads[loss.node_id] = np.ones_like(loss.data)
         for node_id in range(loss.node_id, -1, -1):
-            g = grads.get(node_id)
             backward = self._backwards[node_id]
-            if g is None or backward is None:
+            if backward is None or node_id not in grads:
                 continue
-            for input_id, gin in zip(self._inputs[node_id], backward(g)):
-                seen = grads.get(input_id)
-                grads[input_id] = gin if seen is None else seen + gin
+            # a finished node's gradient is dropped unless it was asked for
+            g = grads[node_id] if node_id in requested else grads.pop(node_id)
+            input_ids = self._inputs[node_id]
+            if node_id in self._selective:
+                gins = backward(g, tuple(reach[i] for i in input_ids))
+            else:
+                gins = backward(g)
+            for input_id, gin in zip(input_ids, gins):
+                if reach[input_id]:
+                    seen = grads.get(input_id)
+                    grads[input_id] = gin if seen is None else seen + gin
         return [np.array(grads[t.node_id]) if t.node_id in grads else np.zeros_like(t.data)
                 for t in leaves]
 
@@ -141,10 +168,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     tape = _tape_of(a, b)
     A, B = a.data, b.data
 
-    def backward(g):
-        return g @ B.T, A.T @ g
+    def backward(g, needed):
+        return g @ B.T if needed[0] else None, A.T @ g if needed[1] else None
 
-    return tape._record(A @ B, (a.node_id, b.node_id), backward)
+    return tape._record(A @ B, (a.node_id, b.node_id), backward, selective=True)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -153,11 +180,37 @@ def transpose(x: Tensor) -> Tensor:
     return x.tape._record(x.data.T, (x.node_id,), lambda g: (g.T,))
 
 
+def _tap_sum(product, k: int, shape: tuple[int, ...], dtype, flip: bool) -> np.ndarray:
+    """Sum product(di, dj) over the k x k taps in (di, dj) order.
+
+    Each product is (T, h, w, c) up to its row blocking. It is added into a
+    grid with a k // 2 zero border at offset (di, dj), or at (2p - di, 2p - dj)
+    when `flip`; the interior is the result. What lands in the border lies
+    outside the (h, w) grid, where the zero padding is, and is dropped.
+    """
+    if k == 1:
+        return product(0, 0).reshape(shape)
+    T, h, w, c = shape
+    pad = k // 2
+    grid = np.zeros((T, h + 2 * pad, w + 2 * pad, c), dtype=dtype)
+    for di in range(k):
+        for dj in range(k):
+            oi, oj = (2 * pad - di, 2 * pad - dj) if flip else (di, dj)
+            grid[:, oi:oi + h, oj:oj + w] += product(di, dj).reshape(shape)
+    return grid[:, pad:pad + h, pad:pad + w]
+
+
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-time-step 2-D cross-correlation with same zero padding, stride 1.
 
     x is (T, h, w, c_in), kernel is (k, k, c_in, c_out) with odd k; output is
     (T, h, w, c_out). A 1x1 kernel degenerates to a channel map.
+
+    Every kernel tap is one product over all T*h*w rows, added into the
+    output shifted by the tap's offset. Each output value sums the same dot
+    products in the same tap order as a product per window row; where BLAS
+    gives each row the same sum at any row count (every conv of the
+    desk-scale model), the bits are those of that computation too.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (T,h,w,c), got {x.shape}")
@@ -170,31 +223,34 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     tape = _tape_of(x, kernel)
     T, h, w, c_in = x.shape
-    pad = k // 2
+    c_out = kernel.shape[3]
     X, K = x.data, kernel.data
-    Xp = np.zeros((T, h + 2 * pad, w + 2 * pad, c_in), dtype=X.dtype)
-    Xp[:, pad:pad + h, pad:pad + w, :] = X
-    # windows[di, dj] is the input under kernel tap (di, dj), so one batched
-    # matmul makes the same per-row BLAS calls as a matmul per tap
-    s0, s1, s2, s3 = Xp.strides
-    windows = np.ndarray((k, k, T, h, w, c_in), X.dtype, Xp, 0, (s1, s2, s0, s1, s2, s3))
-    taps = windows @ K[:, :, None, None]
-    out = np.zeros_like(taps[0, 0])
-    for di in range(k):
-        for dj in range(k):
-            out += taps[di, dj]
+    # with one output channel numpy takes GEMV, whose sums depend on the row
+    # count, so those products keep w-row blocks (the rows of one window)
+    rows = X.reshape((T * h, w, c_in) if c_out == 1 else (T * h * w, c_in))
+    out = _tap_sum(lambda di, dj: rows @ K[di, dj], k, (T, h, w, c_out), X.dtype, flip=True)
 
-    def backward(g):
-        gxp = np.zeros_like(Xp)
-        back = g @ K.transpose(0, 1, 3, 2)[:, :, None, None]
-        for di in range(k):
-            for dj in range(k):
-                gxp[:, di:di + h, dj:dj + w, :] += back[di, dj]
-        # each tap's kernel gradient contracts (T, h, w); one matmul covers all taps
-        cols = windows.transpose(0, 1, 5, 2, 3, 4).reshape(k, k, c_in, -1)
-        return gxp[:, pad:pad + h, pad:pad + w, :], cols @ g.reshape(T * h * w, -1)
+    def backward(g, needed):
+        g_rows = g.reshape(-1, c_out)
+        gx = gk = None
+        if needed[0]:
+            gx = _tap_sum(lambda di, dj: g_rows @ K[di, dj].T, k, X.shape, X.dtype,
+                          flip=False)
+        if needed[1]:
+            pad = k // 2
+            Xp = X
+            if pad:
+                Xp = np.zeros((T, h + 2 * pad, w + 2 * pad, c_in), dtype=X.dtype)
+                Xp[:, pad:pad + h, pad:pad + w] = X
+            gk = np.empty_like(K)
+            for di in range(k):
+                for dj in range(k):
+                    # the input under tap (di, dj), one row per output position
+                    window = Xp[:, di:di + h, dj:dj + w].reshape(-1, c_in)
+                    gk[di, dj] = window.T @ g_rows
+        return gx, gk
 
-    return tape._record(out, (x.node_id, kernel.node_id), backward)
+    return tape._record(out, (x.node_id, kernel.node_id), backward, selective=True)
 
 
 # ---------------------------------------------------------------------------

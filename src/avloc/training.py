@@ -42,8 +42,9 @@ class TrainConfig:
         self.model.validate()
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -149,8 +150,12 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
                 epoch_loss += loss_value
                 for n in grad_sum:
                     grad_sum[n] += grads[n]
-            opt.step(params, {n: (g / len(batch)).astype(np.float32)
-                              for n, g in grad_sum.items()})
+            step = {n: (g / len(batch)).astype(np.float32) for n, g in grad_sum.items()}
+            for n, g in step.items():
+                if not np.isfinite(g).all():
+                    raise TrainingDiverged(f"non-finite gradient for parameter '{n}' "
+                                           f"at epoch {epoch}")
+            opt.step(params, step)
         losses.append(epoch_loss / len(bundles))
         if out_dir and cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
             save_checkpoint(os.path.join(out_dir, f"epoch_{epoch + 1:04d}"),

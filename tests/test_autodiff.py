@@ -1,6 +1,8 @@
 """Tensor engine: forward semantics against brute-force oracles, backward
 rules against hand analysis and finite differences, error contracts."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -27,25 +29,25 @@ def matmul_oracle(A, B):
     return out
 
 
-def conv2d_oracle(x, kernel):
-    """Explicit sliding-window sum with zero padding, per time step."""
-    T, h, w, cin = x.shape
+def conv2d_oracle(x, kernel, g=None):
+    """Explicit sliding-window sum with zero padding, per time step, in f64.
+    Returns the output and the gradients of sum(output * g) for x and kernel
+    (zero gradients when g is not given)."""
+    T, h, w, _ = x.shape
     k = kernel.shape[0]
-    cout = kernel.shape[3]
     pad = k // 2
-    out = np.zeros((T, h, w, cout))
-    for t in range(T):
-        for i in range(h):
-            for j in range(w):
-                for di in range(k):
-                    for dj in range(k):
-                        src_i, src_j = i + di - pad, j + dj - pad
-                        if 0 <= src_i < h and 0 <= src_j < w:
-                            for ci in range(cin):
-                                for co in range(cout):
-                                    out[t, i, j, co] += \
-                                        x[t, src_i, src_j, ci] * kernel[di, dj, ci, co]
-    return out
+    if g is None:
+        g = np.zeros((T, h, w, kernel.shape[3]))
+    x, kernel, g = (np.asarray(a, dtype=np.float64) for a in (x, kernel, g))
+    out, gx, gk = np.zeros(g.shape), np.zeros(x.shape), np.zeros(kernel.shape)
+    for t, i, j, di, dj in itertools.product(range(T), range(h), range(w),
+                                             range(k), range(k)):
+        src_i, src_j = i + di - pad, j + dj - pad
+        if 0 <= src_i < h and 0 <= src_j < w:
+            out[t, i, j] += x[t, src_i, src_j] @ kernel[di, dj]
+            gx[t, src_i, src_j] += kernel[di, dj] @ g[t, i, j]
+            gk[di, dj] += np.outer(x[t, src_i, src_j], g[t, i, j])
+    return out, gx, gk
 
 
 def sum_time_oracle(x):
@@ -107,22 +109,33 @@ def test_conv2d_zero_kernel():
     npt.assert_array_equal(out.data, np.zeros((2, 3, 3, 2)))
 
 
-def test_conv2d_matches_sliding_window_oracle():
+CONV_SHAPES = {  # name: (x shape, kernel shape)
+    "3x3_single_channel": ((1, 3, 3, 1), (3, 3, 1, 1)),
+    "multichannel": ((2, 4, 3, 3), (3, 3, 3, 2)),
+    "c_out_1_3x3": ((2, 3, 4, 3), (3, 3, 3, 1)),
+    "c_out_1_1x1": ((2, 3, 4, 5), (1, 1, 5, 1)),
+    "c_in_1": ((2, 4, 3, 1), (3, 3, 1, 3)),
+    "h_ne_w_5x5": ((2, 5, 4, 2), (5, 5, 2, 3)),
+    "T_1": ((1, 3, 3, 2), (3, 3, 2, 2)),
+    "real_1x1_512": ((2, 7, 7, 512), (1, 1, 512, 512)),
+}
+
+
+@pytest.mark.parametrize("x_shape,k_shape", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+def test_conv2d_matches_sliding_window_oracle(x_shape, k_shape):
+    """Output, input gradient and kernel gradient of an f64 tape agree with
+    the f64 sliding-window oracle to 1e-10 (both sum the same products, so
+    only the summation order differs)."""
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(1, 3, 3, 1))
-    kernel = rng.normal(size=(3, 3, 1, 1))
+    x, kernel = rng.normal(size=x_shape), rng.normal(size=k_shape)
+    g = rng.normal(size=x_shape[:3] + k_shape[3:])
     t = ad.Tape("f64")
-    out = ad.conv2d(t.leaf(x), t.leaf(kernel))
-    npt.assert_allclose(out.data, conv2d_oracle(x, kernel), atol=1e-6)
-
-
-def test_conv2d_multichannel_matches_oracle():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(2, 4, 3, 3))
-    kernel = rng.normal(size=(3, 3, 3, 2))
-    t = ad.Tape("f64")
-    out = ad.conv2d(t.leaf(x), t.leaf(kernel))
-    npt.assert_allclose(out.data, conv2d_oracle(x, kernel), atol=1e-6)
+    tx, tk = t.leaf(x), t.leaf(kernel)
+    out = ad.conv2d(tx, tk)
+    got = (out.data, *t.backward(ad.sum_all(ad.mul(out, t.leaf(g))), [tx, tk]))
+    for name, a, b in zip(("output", "input grad", "kernel grad"), got,
+                          conv2d_oracle(x, kernel, g)):
+        npt.assert_allclose(a, b, rtol=1e-10, atol=1e-10, err_msg=name)
 
 
 def test_conv2d_even_kernel_is_config_error():
@@ -316,6 +329,52 @@ def test_backward_unreachable_leaf_gets_zeros():
     grads = t.backward(ad.sum_all(x), [x, unused])
     npt.assert_array_equal(grads[1], np.zeros((3, 3)))
     assert grads[1].shape == unused.shape
+
+
+def _spy(tape, tensor, calls):
+    """Record every call of `tensor`'s backward rule as (args after g, result)."""
+    rule = tape._backwards[tensor.node_id]
+
+    def recorded(g, *needed):
+        result = rule(g, *needed)
+        calls.append((needed, result))
+        return result
+
+    tape._backwards[tensor.node_id] = recorded
+
+
+def test_backward_skips_inputs_that_reach_no_requested_leaf():
+    """A data input that no requested leaf depends on runs no rule, and the
+    products for its gradient are never formed; the requested gradients are
+    the same bits either way."""
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(2, 3, 3, 4)).astype(np.float32)
+    kernel = rng.normal(size=(3, 3, 4, 2)).astype(np.float32)
+    weight = rng.normal(size=(4, 2)).astype(np.float32)
+
+    def run(request_data):
+        t = ad.Tape()
+        tx, tk, tw = t.leaf(x), t.leaf(kernel), t.leaf(weight)
+        data = ad.relu(tx)
+        conv = ad.conv2d(data, tk)
+        product = ad.matmul(ad.avg_spatial(data), tw)
+        loss = ad.sum_all(ad.add(ad.avg_spatial(conv), product))
+        calls = {"relu": [], "conv2d": [], "matmul": []}
+        for name, node in (("relu", data), ("conv2d", conv), ("matmul", product)):
+            _spy(t, node, calls[name])
+        leaves = [tk, tw] + ([tx] if request_data else [])
+        return t.backward(loss, leaves), calls
+
+    (gk, gw, gx), asked = run(request_data=True)
+    (gk_skip, gw_skip), skipped = run(request_data=False)
+    assert gk.tobytes() == gk_skip.tobytes() and gw.tobytes() == gw_skip.tobytes()
+    assert np.abs(gx).sum() > 0
+    assert len(asked["relu"]) == 1 and not skipped["relu"]
+    for op in ("conv2d", "matmul"):
+        (needed, result), = skipped[op]
+        assert needed == ((False, True),) and result[0] is None and result[1] is not None
+        (needed, result), = asked[op]
+        assert needed == ((True, True),) and result[0] is not None
 
 
 def test_backward_of_add_is_passthrough():

@@ -114,6 +114,16 @@ def test_bad_cli_input_is_a_typed_error(dataset, workspace, capsys, command,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_nonfinite_learning_rate_is_a_config_error(dataset, workspace, capsys, lr):
+    out = os.path.join(workspace, f"lr_{lr}")
+    code = main(["train", "--manifest", dataset, "--epochs", "1", "--lr", lr,
+                 "--out", out])
+    assert code == 2
+    assert "learning_rate" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_gradcheck_command_exits_zero_on_success(capsys):
     assert main(["gradcheck", "--module", "motion"]) == 0
     out = capsys.readouterr().out

@@ -172,3 +172,41 @@ def test_forward_replays_the_frozen_golden_prediction():
     params = init_params(cfg, seed=0)
     pred = predict(params, cfg, default_bundle(0, cfg))
     assert pred.to_record() == golden
+
+
+def _per_row_block_conv(X, K):
+    """conv2d's forward as one product per (tap, t, i) over the w columns of
+    the zero-padded input, with the taps summed in (di, dj) order."""
+    T, h, w, c_in = X.shape
+    k = K.shape[0]
+    pad = k // 2
+    Xp = np.zeros((T, h + 2 * pad, w + 2 * pad, c_in), dtype=X.dtype)
+    Xp[:, pad:pad + h, pad:pad + w] = X
+    out = np.zeros((T, h, w, K.shape[3]), dtype=X.dtype)
+    for di in range(k):
+        for dj in range(k):
+            out += Xp[:, di:di + h, dj:dj + w] @ K[di, dj]
+    return out
+
+
+def test_golden_forward_convs_match_the_per_row_block_computation(monkeypatch):
+    """Each conv of the golden forward gives the bits of a product per window
+    row. The one-output-channel spatial score map is the conv whose bits a
+    single product over all T*h*w rows changes (numpy's GEMV sums depend on
+    the row count), and with them forward_seed0.json."""
+    seen = []
+    conv2d = ad.conv2d
+
+    def recording(x, kernel):
+        out = conv2d(x, kernel)
+        seen.append((x.data, kernel.data, out.data))
+        return out
+
+    monkeypatch.setattr(ad, "conv2d", recording)
+    cfg = ModelConfig()
+    predict(init_params(cfg, seed=0), cfg, default_bundle(0, cfg))
+    assert sorted(K.shape for _, K, _ in seen) == sorted(
+        [(1, 1, 64, 32), (3, 3, 32, 32), (3, 3, 32, 32), (1, 1, 64, 64),
+         (1, 1, 64, 64), (1, 1, 64, 64), (1, 1, 64, 1)])
+    for X, K, out in seen:
+        assert out.tobytes() == _per_row_block_conv(X, K).tobytes(), K.shape

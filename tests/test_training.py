@@ -120,6 +120,23 @@ def test_divergence_aborts_with_module_diagnostic(tiny_dataset):
         train(cfg, manifest, base)
 
 
+def test_nonfinite_gradient_aborts_before_the_update(tiny_dataset, monkeypatch):
+    """A finite loss with a NaN gradient stops training before Adam applies
+    it, naming the parameter and the epoch."""
+    import avloc.training as training
+    manifest, base = tiny_dataset
+    video_loss = training._video_loss
+
+    def poisoned(*args):
+        loss, grads, fwd = video_loss(*args)
+        grads["visual_gate.channel_value"][0, 0] = np.nan
+        return loss, grads, fwd
+
+    monkeypatch.setattr(training, "_video_loss", poisoned)
+    with pytest.raises(TrainingDiverged, match=r"'visual_gate\.channel_value' at epoch 0"):
+        train(tiny_config(epochs=1), manifest, base)
+
+
 def test_finished_tapes_are_freed_without_the_cycle_collector(tiny_dataset, monkeypatch):
     manifest, base = tiny_dataset
     cfg = tiny_config().model
