@@ -13,6 +13,14 @@ Tensor refers to its tape, so capturing one would make a reference cycle that
 keeps a finished tape alive until the cyclic garbage collector runs.
 Storage precision is f32; an f64 tape exists for finite-difference gradient
 verification only.
+
+A tape can carry a mini-batch of B equal-length videos with B*T folded into
+the leading axis, which every per-row op (conv2d, matmul, the activations,
+avg_spatial) treats as independent rows. Only the ops that work along time
+take a `videos` count, so that softmax over time, the time pools, the time
+slices and concatenations, and the per-video attention product never mix
+two videos. With videos=1 each of them computes what it did for a single
+(T, ...) video.
 """
 
 from __future__ import annotations
@@ -94,6 +102,13 @@ class Tape:
         """Register an input array (copied and cast to the tape precision)."""
         return self._record(np.array(data, copy=True), (), None)
 
+    def param(self, data: np.ndarray) -> Tensor:
+        """Register a read-only array of the tape precision without a copy;
+        an array that is writable or of another dtype is copied as by leaf."""
+        if data.flags.writeable or data.dtype != self.dtype:
+            return self.leaf(data)
+        return self._record(data, (), None)
+
     def zeros(self, shape) -> Tensor:
         return self.leaf(np.zeros(shape, dtype=self.dtype))
 
@@ -106,7 +121,9 @@ class Tape:
         node's rule runs or receives a gradient. A tape supports exactly one
         backward pass: the returned gradients are plain arrays, so there is
         nothing differentiable left for a second-order pass and asking for
-        one is a contract violation.
+        one is a contract violation. Each rule is dropped once it has run,
+        and with it the forward arrays it held, so memory falls as the sweep
+        moves back through the tape.
         """
         if loss.tape is not self:
             raise ContractError("loss tensor lives on a different tape")
@@ -135,6 +152,7 @@ class Tape:
             backward = self._backwards[node_id]
             if backward is None or node_id not in grads:
                 continue
+            self._backwards[node_id] = None
             # a finished node's gradient is dropped unless it was asked for
             g = grads[node_id] if node_id in requested else grads.pop(node_id)
             input_ids = self._inputs[node_id]
@@ -178,6 +196,46 @@ def transpose(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise ShapeError(f"transpose is defined for rank-2 tensors, got {x.shape}")
     return x.tape._record(x.data.T, (x.node_id,), lambda g: (g.T,))
+
+
+def _by_video(shape: tuple[int, ...], videos: int) -> tuple[int, ...]:
+    """The (B, T, ...) view of a (B*T, ...) shape that folds B videos."""
+    if videos < 1 or shape[0] % videos:
+        raise ShapeError(f"{shape[0]} rows do not split into {videos} equal videos")
+    return (videos, shape[0] // videos) + tuple(shape[1:])
+
+
+def batched_matmul(a: Tensor, b: Tensor, videos: int, transpose_b: bool = False) -> Tensor:
+    """One product per video of two folded operands: (B*m, k) x (B*k, n), or
+    x (B*n, k) transposed when `transpose_b`, gives (B*m, n).
+
+    With one video this is `matmul(a, b)` (or `matmul(a, transpose(b))`).
+    """
+    if videos == 1:
+        return matmul(a, transpose(b) if transpose_b else b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"batched_matmul needs rank-2 operands, got {a.shape} and {b.shape}")
+    tape = _tape_of(a, b)
+    sa, sb = a.shape, b.shape
+    A3, B3 = a.data.reshape(_by_video(sa, videos)), b.data.reshape(_by_video(sb, videos))
+    Bm = B3.transpose(0, 2, 1) if transpose_b else B3
+    if A3.shape[2] != Bm.shape[1]:
+        raise ShapeError(f"batched_matmul over {videos} videos cannot multiply {sa} by "
+                         f"{sb}{' transposed' if transpose_b else ''}")
+    out = A3 @ Bm
+
+    def backward(g, needed, view=out.shape):
+        g3 = g.reshape(view)
+        ga = gb = None
+        if needed[0]:
+            ga = (g3 @ Bm.transpose(0, 2, 1)).reshape(sa)
+        if needed[1]:
+            gb = g3.transpose(0, 2, 1) @ A3 if transpose_b else A3.transpose(0, 2, 1) @ g3
+            gb = gb.reshape(sb)
+        return ga, gb
+
+    return tape._record(out.reshape(-1, out.shape[2]), (a.node_id, b.node_id), backward,
+                        selective=True)
 
 
 def _tap_sum(product, k: int, shape: tuple[int, ...], dtype, flip: bool) -> np.ndarray:
@@ -258,12 +316,16 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    X = x.data
-    return x.tape._record(np.maximum(X, 0), (x.node_id,), lambda g: (g * (X > 0),))
+    # the rule keeps the output, which its consumer usually keeps too, not the input
+    Y = np.maximum(x.data, 0)
+    return x.tape._record(Y, (x.node_id,), lambda g: (g * (Y > 0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    # exp(-x) overflows to inf below about -88 in f32, where 1 / (1 + inf)
+    # is the right 0, and underflows harmlessly for large x
+    with np.errstate(over="ignore", under="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x.data))
     return x.tape._record(s, (x.node_id,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -278,16 +340,21 @@ def _normalize_axis(axis: int, ndim: int) -> int:
     return axis % ndim
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
+def softmax(x: Tensor, axis: int, videos: int = 1) -> Tensor:
+    """Softmax along `axis`; along axis 0, within each of `videos` videos."""
     axis = _normalize_axis(axis, x.ndim)
-    z = x.data - x.data.max(axis=axis, keepdims=True)  # shift-invariant, avoids overflow
+    X = x.data
+    if axis == 0:
+        X, axis = X.reshape(_by_video(x.shape, videos)), 1
+    z = X - X.max(axis=axis, keepdims=True)  # shift-invariant, avoids overflow
     e = np.exp(z)
     s = e / e.sum(axis=axis, keepdims=True)
 
-    def backward(g):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
+    def backward(g, shape=x.shape):
+        g = g.reshape(s.shape)
+        return ((s * (g - (g * s).sum(axis=axis, keepdims=True))).reshape(shape),)
 
-    return x.tape._record(s, (x.node_id,), backward)
+    return x.tape._record(s.reshape(x.shape), (x.node_id,), backward)
 
 
 def log_clamped(x: Tensor, floor: float = 1e-12) -> Tensor:
@@ -318,31 +385,32 @@ def avg_spatial(x: Tensor) -> Tensor:
     return x.tape._record(x.data.mean(axis=(1, 2)), (x.node_id,), backward)
 
 
-def max_time(x: Tensor) -> Tensor:
-    """(T, d) -> (1, d) max over time; ties route the gradient to the lowest index."""
+def max_time(x: Tensor, videos: int = 1) -> Tensor:
+    """(B*T, d) -> (B, d) max over each video's T rows; ties route the
+    gradient to the lowest index."""
     if x.ndim != 2:
         raise ShapeError(f"max_time needs (T,d), got {x.shape}")
-    X = x.data
-    idx = X.argmax(axis=0)  # first occurrence == lowest flat index
-    cols = np.arange(X.shape[1])
-
-    def backward(g):
-        gx = np.zeros_like(X)
-        gx[idx, cols] = g[0]
-        return (gx,)
-
-    return x.tape._record(X[idx, cols][None, :], (x.node_id,), backward)
-
-
-def sum_time(x: Tensor) -> Tensor:
-    """(T, d) -> (1, d) sum over time."""
-    if x.ndim != 2:
-        raise ShapeError(f"sum_time needs (T,d), got {x.shape}")
+    X = x.data.reshape(_by_video(x.shape, videos))
+    idx = X.argmax(axis=1)[:, None, :]  # first occurrence == lowest index
 
     def backward(g, shape=x.shape):
-        return (np.broadcast_to(g, shape).copy(),)
+        gx = np.zeros_like(X)
+        np.put_along_axis(gx, idx, g[:, None, :], axis=1)
+        return (gx.reshape(shape),)
 
-    return x.tape._record(x.data.sum(axis=0, keepdims=True), (x.node_id,), backward)
+    return x.tape._record(np.take_along_axis(X, idx, axis=1)[:, 0], (x.node_id,), backward)
+
+
+def sum_time(x: Tensor, videos: int = 1) -> Tensor:
+    """(B*T, d) -> (B, d) sum over each video's T rows."""
+    if x.ndim != 2:
+        raise ShapeError(f"sum_time needs (T,d), got {x.shape}")
+    X = x.data.reshape(_by_video(x.shape, videos))
+
+    def backward(g, rows=X.shape[1]):
+        return (np.repeat(g, rows, axis=0),)
+
+    return x.tape._record(X.sum(axis=1), (x.node_id,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -407,24 +475,29 @@ def scale(x: Tensor, c: float) -> Tensor:
     return x.tape._record(x.data * c, (x.node_id,), lambda g: (g * c,))
 
 
-def concat(x: Tensor, y: Tensor, axis: int) -> Tensor:
+def concat(x: Tensor, y: Tensor, axis: int, videos: int = 1) -> Tensor:
+    """Concatenate along `axis`; along axis 0, video by video, so that each
+    of the `videos` videos of the result is x's rows of it, then y's."""
     axis = _normalize_axis(axis, x.ndim)
-    if x.ndim != y.ndim or any(
-            m != n for ax, (m, n) in enumerate(zip(x.shape, y.shape)) if ax != axis):
+    if x.ndim != y.ndim:
+        raise ShapeError(f"concat needs equal ranks, got {x.shape} and {y.shape}")
+    vx, vy = _by_video(x.shape, videos), _by_video(y.shape, videos)
+    if any(m != n for ax, (m, n) in enumerate(zip(vx, vy)) if ax != axis + 1):
         raise ShapeError(f"concat on axis {axis} needs matching other extents, "
                          f"got {x.shape} and {y.shape}")
     tape = _tape_of(x, y)
-    split = x.shape[axis]
+    split = vx[axis + 1]
+    out = np.concatenate([x.data.reshape(vx), y.data.reshape(vy)], axis=axis + 1)
 
-    def backward(g):
+    def backward(g, view=out.shape, sx=x.shape, sy=y.shape):
+        g = g.reshape(view)
         head = [slice(None)] * g.ndim
         tail = [slice(None)] * g.ndim
-        head[axis] = slice(0, split)
-        tail[axis] = slice(split, None)
-        return g[tuple(head)], g[tuple(tail)]
+        head[axis + 1] = slice(0, split)
+        tail[axis + 1] = slice(split, None)
+        return g[tuple(head)].reshape(sx), g[tuple(tail)].reshape(sy)
 
-    return tape._record(np.concatenate([x.data, y.data], axis=axis),
-                        (x.node_id, y.node_id), backward)
+    return tape._record(out.reshape((-1,) + out.shape[2:]), (x.node_id, y.node_id), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +515,21 @@ def reshape(x: Tensor, shape) -> Tensor:
     return x.tape._record(x.data.reshape(shape), (x.node_id,), backward)
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+def slice_axis(x: Tensor, axis: int, start: int, stop: int, videos: int = 1) -> Tensor:
+    """Rows [start:stop) along `axis`; along axis 0, of each of `videos` videos."""
     axis = _normalize_axis(axis, x.ndim)
-    if not 0 <= start < stop <= x.shape[axis]:
-        raise ShapeError(f"slice [{start}:{stop}] is invalid for axis {axis} of {x.shape}")
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(start, stop)
+    view = _by_video(x.shape, videos)
+    if not 0 <= start < stop <= view[axis + 1]:
+        raise ShapeError(f"slice [{start}:{stop}] is invalid for axis {axis} of {x.shape}"
+                         f" over {videos} video(s)")
+    sl = [slice(None)] * len(view)
+    sl[axis + 1] = slice(start, stop)
     sl = tuple(sl)
+    out = x.data.reshape(view)[sl]
 
-    def backward(g, X=x.data):
-        gx = np.zeros_like(X)
-        gx[sl] = g
-        return (gx,)
+    def backward(g, shape=x.shape, piece=out.shape, dtype=x.data.dtype):
+        gx = np.zeros(view, dtype=dtype)
+        gx[sl] = g.reshape(piece)
+        return (gx.reshape(shape),)
 
-    return x.tape._record(x.data[sl].copy(), (x.node_id,), backward)
+    return x.tape._record(out.reshape((-1,) + out.shape[2:]), (x.node_id,), backward)

@@ -12,7 +12,7 @@ single cross entropy at the video level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,12 +48,14 @@ class Prediction:
 # forward heads
 
 
-def class_distribution(fused: ad.Tensor, p: Mapping[str, ad.Tensor]) -> ad.Tensor:
-    """Max-pool (T, 2*d_m) over time, project, softmax -> (1, n_out).
+def class_distribution(fused: ad.Tensor, p: Mapping[str, ad.Tensor],
+                       videos: int = 1) -> ad.Tensor:
+    """Max-pool (T, 2*d_m) over time, project, softmax -> (1, n_out); one
+    row per video for B*T rows of `videos`=B.
 
     `p` (here and below) is the head group of the model's parameter table.
     """
-    pooled = ad.max_time(fused)
+    pooled = ad.max_time(fused, videos)
     logits = ad.add(ad.matmul(pooled, p["class_weight"]), p["class_bias"])
     return ad.softmax(logits, axis=1)
 
@@ -90,16 +92,19 @@ def decode_weak(segment_logits: np.ndarray) -> np.ndarray:
 # losses
 
 
-def _one_hot(tape: ad.Tape, index: int, width: int, rows: int = 1) -> ad.Tensor:
-    if not 0 <= index < width:
-        raise LabelError(f"class index {index} outside [0, {width})")
-    onehot = np.zeros((rows, width))
-    onehot[:, index] = 1.0
+def _one_hot(tape: ad.Tape, video_class: int | Sequence[int], width: int) -> ad.Tensor:
+    """One (1, width) one-hot row per video class."""
+    classes = [int(c) for c in np.atleast_1d(video_class)]
+    for index in classes:
+        if not 0 <= index < width:
+            raise LabelError(f"class index {index} outside [0, {width})")
+    onehot = np.zeros((len(classes), width))
+    onehot[np.arange(len(classes)), classes] = 1.0
     return tape.leaf(onehot)
 
 
 def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
-                          video_class: int, segment_relevance: np.ndarray
+                          video_class: int | Sequence[int], segment_relevance: np.ndarray
                           ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
     """Returns (total, class_term, event_term); total == class + event exactly.
 
@@ -107,39 +112,51 @@ def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
     video class. Event term: binary cross entropy of the (T, 1) relevance
     scores against 0/1 segment relevance, averaged over T so the two terms
     stay comparable whatever T is. Logs are clamped at 1e-12.
+
+    A mini-batch of B videos gives (B, C) distributions, (B*T, 1) scores, B
+    classes and B*T relevance labels; each term is then the mean of the
+    videos' terms.
     """
     tape = class_probs.tape
-    T = event_scores.shape[0]
+    videos, rows = class_probs.shape[0], event_scores.shape[0]
     onehot = _one_hot(tape, video_class, class_probs.shape[1])
-    class_term = ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(class_probs, LOG_FLOOR))), -1.0)
+    if onehot.shape[0] != videos:
+        raise ShapeError(f"{onehot.shape[0]} video classes for {videos} class distributions")
+    class_term = ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(class_probs, LOG_FLOOR))),
+                          -1.0 / videos)
 
-    y = np.asarray(segment_relevance, dtype=float).reshape(T, 1)
+    y = np.asarray(segment_relevance, dtype=float).reshape(rows, 1)
     y_t = tape.leaf(y)
     not_y = tape.leaf(1.0 - y)
-    ones = tape.leaf(np.ones((T, 1)))
+    ones = tape.leaf(np.ones((rows, 1)))
     complement = ad.sub(ones, event_scores)
     per_segment = ad.add(ad.mul(y_t, ad.log_clamped(event_scores, LOG_FLOOR)),
                          ad.mul(not_y, ad.log_clamped(complement, LOG_FLOOR)))
-    event_term = ad.scale(ad.sum_all(per_segment), -1.0 / T)
+    event_term = ad.scale(ad.sum_all(per_segment), -1.0 / rows)
     return ad.add(class_term, event_term), class_term, event_term
 
 
 def supervised_loss(class_probs: ad.Tensor, event_scores: ad.Tensor,
-                    video_class: int, segment_relevance: np.ndarray) -> ad.Tensor:
+                    video_class: int | Sequence[int],
+                    segment_relevance: np.ndarray) -> ad.Tensor:
     total, _, _ = supervised_loss_terms(class_probs, event_scores,
                                         video_class, segment_relevance)
     return total
 
 
-def weak_aggregate_loss(segment_logits: ad.Tensor, video_class: int) -> ad.Tensor:
+def weak_aggregate_loss(segment_logits: ad.Tensor,
+                        video_class: int | Sequence[int]) -> ad.Tensor:
     """Sum (T, C+1) logits over time, softmax, cross entropy at video level.
 
     Only the video class supervises this path; per-segment relevance is never
-    consumed.
+    consumed. With B classes the logits are B videos' (B*T, C+1) rows and the
+    loss is the mean over the videos.
     """
     if segment_logits.ndim != 2:
         raise ShapeError(f"segment logits must be (T, n_out), got {segment_logits.shape}")
-    video_logits = ad.sum_time(segment_logits)                  # (1, C+1)
+    videos = np.size(video_class)
+    video_logits = ad.sum_time(segment_logits, videos)          # (1, C+1)
     probs = ad.softmax(video_logits, axis=1)
     onehot = _one_hot(segment_logits.tape, video_class, probs.shape[1])
-    return ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(probs, LOG_FLOOR))), -1.0)
+    return ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(probs, LOG_FLOOR))),
+                    -1.0 / videos)

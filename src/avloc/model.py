@@ -6,6 +6,9 @@ visual stream, bidirectional cross-modal relation attention, interaction
 fusion, then the classification heads. Config toggles swap whole stages for
 constants (zero motion, zero past motion, no temporal gate) without touching
 anything downstream, which is what the ablation runner exploits.
+
+Training runs a mini-batch of B videos as one forward on one tape, with B*T
+rows in the leading axis (see autodiff); a single video is the case B=1.
 """
 
 from __future__ import annotations
@@ -152,13 +155,27 @@ def param_table(cfg: ModelConfig) -> list[tuple[str, int, Callable, tuple[int, .
     ]
 
 
+def _freeze(value: np.ndarray) -> np.ndarray:
+    arr = np.ascontiguousarray(value)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass
 class ModelParams:
     """Every learned weight by table name, reconstructible bit-exactly from
-    (seed, config)."""
+    (seed, config).
+
+    ModelParams owns its arrays and makes them read-only: an update replaces
+    an array (`set_array`) and never writes into one, so a forward can put
+    them on its tape without a copy.
+    """
 
     arrays: dict[str, np.ndarray]
     seed: int
+
+    def __post_init__(self):
+        self.arrays = {name: _freeze(arr) for name, arr in self.arrays.items()}
 
     def items(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) pairs in table order."""
@@ -168,7 +185,7 @@ class ModelParams:
         current = self.arrays[name]
         if current.shape != value.shape:
             raise ShapeError(f"{name}: new shape {value.shape} != {current.shape}")
-        self.arrays[name] = np.ascontiguousarray(value, dtype=np.float32)
+        self.arrays[name] = _freeze(np.asarray(value, dtype=np.float32))
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
@@ -190,7 +207,8 @@ def _group(leaves: Mapping[str, ad.Tensor], prefix: str) -> dict[str, ad.Tensor]
 
 @dataclass
 class ForwardPass:
-    """Tape outputs of one video plus the leaf tensors for backward."""
+    """Tape outputs of one video, or of B videos with B*T rows (B rows for
+    class_probs), plus the leaf tensors for backward."""
 
     leaves: dict[str, ad.Tensor]
     fused: ad.Tensor                  # (T, 2*d_m)
@@ -205,33 +223,40 @@ class ForwardPass:
 
 def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
                 visual: np.ndarray, cfg: ModelConfig) -> ForwardPass:
+    """Forward one video, (T, d_a) audio and (T, h, w, d_v) visual, or a
+    mini-batch of B videos stacked as (B, T, d_a) and (B, T, h, w, d_v)."""
     cfg.validate()
     d = cfg.dims
-    if (audio.shape, visual.shape) != d.shapes():
+    audio_shape, visual_shape = d.shapes()
+    stack = audio.shape[:1] if audio.ndim == 3 else ()  # (B,) for a mini-batch
+    videos = stack[0] if stack else 1
+    if (audio.shape, visual.shape) != (stack + audio_shape, stack + visual_shape):
         raise ShapeError(f"features {audio.shape}/{visual.shape} do not match "
                          f"the config's {d.shapes()}")
-    leaves = {name: tape.leaf(arr) for name, arr in params.items()}
-    audio_in = tape.leaf(audio)
-    visual_in = tape.leaf(visual)
+    rows = videos * d.T
+    leaves = {name: tape.param(arr) for name, arr in params.items()}
+    audio_in = tape.leaf(audio.reshape(rows, d.d_a))
+    visual_in = tape.leaf(visual.reshape((rows,) + visual_shape[1:]))
     stages: dict[str, ad.Tensor] = {}
 
     if cfg.motion == "off":
-        motion_feat = tape.zeros((d.T, d.d_a))
+        motion_feat = tape.zeros((rows, d.d_a))
     else:
         aligned = motion.align_channels(visual_in, leaves["motion.align_kernel"])
         stages["motion.align"] = aligned
         if cfg.motion == "future_only":
-            past = tape.zeros((d.T, d.h, d.w, d.d_a))
-            future = motion.future_motion(aligned, leaves["motion.future_kernel"])
+            past = tape.zeros((rows, d.h, d.w, d.d_a))
+            future = motion.future_motion(aligned, leaves["motion.future_kernel"], videos)
         else:
             past, future = motion.past_future_motion(
-                aligned, leaves["motion.past_kernel"], leaves["motion.future_kernel"])
+                aligned, leaves["motion.past_kernel"], leaves["motion.future_kernel"],
+                videos)
         motion_feat = motion.fuse_and_pool(past, future, leaves["motion.out_map"])
     stages["motion.feature"] = motion_feat
 
     audio_gated = attention.motion_guided_audio(
         audio_in, motion_feat, leaves["audio_gate.temporal_weight"],
-        use_temporal=cfg.temporal_attention)
+        use_temporal=cfg.temporal_attention, videos=videos)
     stages["audio_attention"] = audio_gated
 
     gate_leaves = _group(leaves, "visual_gate")
@@ -243,16 +268,17 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
     audio_rel, visual_rel = fusion.relation_aware(
         audio_gated, visual_static,
         leaves["streams.audio"], leaves["streams.visual"],
-        _group(leaves, "audio_branch"), _group(leaves, "visual_branch"), cfg.scale_mode)
+        _group(leaves, "audio_branch"), _group(leaves, "visual_branch"), cfg.scale_mode,
+        videos)
     stages["relation.audio"] = audio_rel
     stages["relation.visual"] = visual_rel
 
     fused = fusion.interact(audio_rel, visual_rel, leaves["streams.fused"],
-                            _group(leaves, "interaction"), cfg.scale_mode)
+                            _group(leaves, "interaction"), cfg.scale_mode, videos)
     stages["interaction"] = fused
 
     head_leaves = _group(leaves, "head")
-    class_probs = heads.class_distribution(fused, head_leaves)
+    class_probs = heads.class_distribution(fused, head_leaves, videos)
     event_scores = heads.event_relevance(fused, head_leaves)
     segment_logits = heads.per_segment_logits(fused, head_leaves) \
         if cfg.mode == "weak" else None

@@ -6,6 +6,9 @@ temporal neighbors through small spatial convolutions (which absorb pixel
 offset between segments), fuse both directions, spatially pool, and remap
 channels. The first segment has no past and the last no future, so those
 rows are exactly zero by construction.
+
+A mini-batch of B videos arrives as (B*T, h, w, d) with `videos=B`; every
+neighbour and every zero row stays inside its own video.
 """
 
 from __future__ import annotations
@@ -19,36 +22,39 @@ def align_channels(visual: ad.Tensor, align_kernel: ad.Tensor) -> ad.Tensor:
     return ad.conv2d(visual, align_kernel)
 
 
-def _neighbor_difference(aligned: ad.Tensor, kernel: ad.Tensor,
+def _neighbor_difference(aligned: ad.Tensor, kernel: ad.Tensor, videos: int,
                          zero_first: bool) -> ad.Tensor:
-    """conv(aligned)[1:] - aligned[:-1], padded back to T rows with an exact
-    zero row at the start (past motion) or at the end (future motion)."""
-    T = aligned.shape[0]
+    """conv(aligned)[1:] - aligned[:-1] per video, padded back to T rows with
+    an exact zero row at the start (past motion) or at the end (future
+    motion)."""
+    T = aligned.shape[0] // videos
     if T < 2:
         raise ContractError(f"motion extraction needs T >= 2, got T={T}")
     convolved = ad.conv2d(aligned, kernel)
-    body = ad.sub(ad.slice_axis(convolved, 0, 1, T),
-                  ad.slice_axis(aligned, 0, 0, T - 1))
-    zero_row = aligned.tape.zeros((1,) + aligned.shape[1:])
-    return ad.concat(zero_row, body, axis=0) if zero_first \
-        else ad.concat(body, zero_row, axis=0)
+    body = ad.sub(ad.slice_axis(convolved, 0, 1, T, videos),
+                  ad.slice_axis(aligned, 0, 0, T - 1, videos))
+    zero_rows = aligned.tape.zeros((videos,) + aligned.shape[1:])
+    return ad.concat(zero_rows, body, 0, videos) if zero_first \
+        else ad.concat(body, zero_rows, 0, videos)
 
 
-def past_motion(aligned: ad.Tensor, kernel: ad.Tensor) -> ad.Tensor:
+def past_motion(aligned: ad.Tensor, kernel: ad.Tensor, videos: int = 1) -> ad.Tensor:
     """Motion that arrived into each segment from its predecessor:
     conv(current) - previous. Row 0 is exactly zero."""
-    return _neighbor_difference(aligned, kernel, zero_first=True)
+    return _neighbor_difference(aligned, kernel, videos, zero_first=True)
 
 
-def future_motion(aligned: ad.Tensor, kernel: ad.Tensor) -> ad.Tensor:
+def future_motion(aligned: ad.Tensor, kernel: ad.Tensor, videos: int = 1) -> ad.Tensor:
     """Motion leaving each segment toward its successor: conv(next) - current.
     The last row is exactly zero."""
-    return _neighbor_difference(aligned, kernel, zero_first=False)
+    return _neighbor_difference(aligned, kernel, videos, zero_first=False)
 
 
 def past_future_motion(aligned: ad.Tensor, past_kernel: ad.Tensor,
-                       future_kernel: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-    return past_motion(aligned, past_kernel), future_motion(aligned, future_kernel)
+                       future_kernel: ad.Tensor, videos: int = 1
+                       ) -> tuple[ad.Tensor, ad.Tensor]:
+    return (past_motion(aligned, past_kernel, videos),
+            future_motion(aligned, future_kernel, videos))
 
 
 def fuse_and_pool(past: ad.Tensor, future: ad.Tensor, out_map: ad.Tensor) -> ad.Tensor:

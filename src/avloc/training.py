@@ -1,8 +1,9 @@
 """Training loop, evaluation metric, checkpointing, and the ablation runner.
 
 Training is bitwise reproducible for a fixed (seed, config, dataset):
-shuffling is keyed by (seed, epoch), every video owns its own tape, and batch
-gradients are reduced in a fixed index order.
+shuffling is keyed by (seed, epoch), and every mini-batch is one forward and
+one backward on its own tape, with its videos stacked in shuffled order, so
+every reduction over the batch runs in a fixed order.
 """
 
 from __future__ import annotations
@@ -92,19 +93,24 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# loss per video
+# loss per mini-batch
 
 
-def _video_loss(params: ModelParams, cfg: ModelConfig, audio: np.ndarray,
-                visual: np.ndarray, label: LabelRecord
+def _batch_loss(params: ModelParams, cfg: ModelConfig, bundles: list[FeatureBundle],
+                labels: list[LabelRecord]
                 ) -> tuple[float, dict[str, np.ndarray], ForwardPass]:
+    """Mean loss of the videos and its gradient, from one forward and one
+    backward over the stacked batch."""
     tape = ad.Tape()
-    fwd = run_forward(tape, params, audio, visual, cfg)
+    fwd = run_forward(tape, params, np.stack([b.audio for b in bundles]),
+                      np.stack([b.visual for b in bundles]), cfg)
+    classes = [label.video_class for label in labels]
     if cfg.mode == "weak":
-        loss = heads.weak_aggregate_loss(fwd.segment_logits, label.video_class)
+        loss = heads.weak_aggregate_loss(fwd.segment_logits, classes)
     else:
-        loss = heads.supervised_loss(fwd.class_probs, fwd.event_scores,
-                                     label.video_class, label.segment_relevance)
+        loss = heads.supervised_loss(
+            fwd.class_probs, fwd.event_scores, classes,
+            np.concatenate([label.segment_relevance for label in labels]))
     names = list(fwd.leaves.keys())
     grads = tape.backward(loss, fwd.leaf_list())
     return loss.item(), dict(zip(names, grads)), fwd
@@ -139,18 +145,15 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            grad_sum = {n: np.zeros(a.shape, dtype=np.float64) for n, a in params.items()}
-            for i in batch:  # fixed index order
-                loss_value, grads, fwd = _video_loss(params, cfg.model, bundles[i].audio,
-                                                     bundles[i].visual, labels[i])
-                if not np.isfinite(loss_value):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}; first non-finite "
-                        f"values appear in module '{_first_nonfinite_stage(fwd)}'")
-                epoch_loss += loss_value
-                for n in grad_sum:
-                    grad_sum[n] += grads[n]
-            step = {n: (g / len(batch)).astype(np.float32) for n, g in grad_sum.items()}
+            loss_value, step, fwd = _batch_loss(params, cfg.model,
+                                                [bundles[i] for i in batch],
+                                                [labels[i] for i in batch])
+            if not np.isfinite(loss_value):
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}; first non-finite "
+                    f"values appear in module '{_first_nonfinite_stage(fwd)}'")
+            epoch_loss += loss_value * len(batch)
+            del fwd  # frees the batch's tape before the update
             for n, g in step.items():
                 if not np.isfinite(g).all():
                     raise TrainingDiverged(f"non-finite gradient for parameter '{n}' "

@@ -456,6 +456,9 @@ def test_unknown_precision_is_config_error():
     ((3, 1), (3, 4), ad.mul),
     ((2, 3), (4, 3), lambda a, b: ad.concat(a, b, 0)),
     ((2, 3, 3, 2), (3, 3, 2, 2), ad.conv2d),
+    ((3 * 2, 4), (3 * 5, 4), lambda a, b: ad.batched_matmul(a, b, 3, transpose_b=True)),
+    ((2 * 3, 5), (2 * 5, 4), lambda a, b: ad.batched_matmul(a, b, 2)),
+    ((2 * 3, 4), (2 * 1, 4), lambda a, b: ad.concat(a, b, 0, 2)),
 ])
 def test_binary_op_gradients_match_finite_differences(shape_x, shape_y, op):
     rng = np.random.default_rng(13)
@@ -484,6 +487,112 @@ def test_binary_op_gradients_match_finite_differences(shape_x, shape_y, op):
 def test_unary_op_gradients_match_finite_differences(op):
     rng = np.random.default_rng(14)
     x = rng.normal(size=(3, 4))
+
+    def build(arrs):
+        tape = ad.Tape("f64")
+        tx = tape.leaf(arrs[0])
+        out = op(tx)
+        mix = tape.leaf(np.arange(out.data.size).reshape(out.shape) * 0.1 + 0.3)
+        return ad.sum_all(ad.mul(out, mix)), [tx]
+
+    result = check_gradients("spot", build, [x])
+    assert result.passed, result.line()
+
+
+def test_sigmoid_saturates_without_floating_point_warnings():
+    import warnings
+    x = np.array([-100.0, 0.0, 5.0], dtype=np.float32)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        t = ad.Tape()
+        leaf = t.leaf(x)
+        out = ad.sigmoid(leaf)
+        (g,) = t.backward(ad.sum_all(out), [leaf])
+    npt.assert_array_equal(out.data, np.float32([0.0, 0.5, 1.0 / (1.0 + np.exp(-5.0))]))
+    assert g[0] == 0.0 and g[1] == np.float32(0.25)
+
+
+def test_param_registers_read_only_arrays_without_a_copy():
+    t = ad.Tape()
+    frozen = np.arange(6, dtype=np.float32).reshape(2, 3)
+    frozen.setflags(write=False)
+    writable = np.arange(6, dtype=np.float32).reshape(2, 3)
+    assert t.param(frozen).data is frozen
+    copied = t.param(writable)
+    assert not np.shares_memory(copied.data, writable)
+    # another precision is a cast, hence a copy
+    assert ad.Tape("f64").param(frozen).data.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# time-axis ops over B videos folded into the leading axis
+
+
+def _per_video(fn, x, videos):
+    """fn applied to each video's rows of a folded array, rows stacked back."""
+    return np.concatenate([fn(part) for part in np.split(x, videos)])
+
+
+@pytest.mark.parametrize("videos", [1, 2, 3])
+def test_time_ops_over_videos_match_a_loop_over_videos(videos):
+    rng = np.random.default_rng(21)
+    T, d = 4, 3
+    x = rng.normal(size=(videos * T, d))
+    y = rng.normal(size=(videos * 2, d))
+    t = ad.Tape("f64")
+    tx, ty = t.leaf(x), t.leaf(y)
+
+    def single(op, *arrays):
+        tape = ad.Tape("f64")
+        return op(*(tape.leaf(a) for a in arrays)).data
+
+    cases = [
+        (ad.softmax(tx, 0, videos), _per_video(lambda p: single(lambda a: ad.softmax(a, 0), p),
+                                               x, videos)),
+        (ad.max_time(tx, videos), _per_video(lambda p: single(ad.max_time, p), x, videos)),
+        (ad.sum_time(tx, videos), _per_video(lambda p: single(ad.sum_time, p), x, videos)),
+        (ad.slice_axis(tx, 0, 1, T, videos),
+         _per_video(lambda p: single(lambda a: ad.slice_axis(a, 0, 1, T), p), x, videos)),
+        (ad.concat(tx, ty, 0, videos),
+         np.concatenate([single(lambda a, b: ad.concat(a, b, 0), p, q)
+                         for p, q in zip(np.split(x, videos), np.split(y, videos))])),
+    ]
+    for got, want in cases:
+        npt.assert_array_equal(got.data, want)
+
+
+def test_batched_matmul_multiplies_each_video_by_its_own_block():
+    rng = np.random.default_rng(22)
+    a = rng.normal(size=(3 * 2, 4))
+    b = rng.normal(size=(3 * 5, 4))
+    t = ad.Tape("f64")
+    out = ad.batched_matmul(t.leaf(a), t.leaf(b), 3, transpose_b=True)
+    want = np.concatenate([p @ q.T for p, q in zip(np.split(a, 3), np.split(b, 3))])
+    assert out.shape == (6, 5)
+    npt.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        ad.batched_matmul(t.leaf(a), t.leaf(b), 3)  # (2, 4) x (5, 4) per video
+    with pytest.raises(ShapeError):
+        ad.batched_matmul(t.leaf(a), t.leaf(b), 4, transpose_b=True)  # 6 rows, 4 videos
+
+
+def test_batched_matmul_of_one_video_is_matmul():
+    rng = np.random.default_rng(23)
+    a, b = rng.normal(size=(3, 4)).astype(np.float32), rng.normal(size=(5, 4)).astype(np.float32)
+    t = ad.Tape()
+    ta, tb = t.leaf(a), t.leaf(b)
+    out = ad.batched_matmul(ta, tb, 1, transpose_b=True)
+    assert out.data.tobytes() == ad.matmul(ta, ad.transpose(tb)).data.tobytes()
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: ad.softmax(x, 0, 3), lambda x: ad.softmax(x, 1, 3),
+    lambda x: ad.max_time(x, 3), lambda x: ad.sum_time(x, 2),
+    lambda x: ad.slice_axis(x, 0, 0, 1, 3),
+], ids=["softmax_time", "softmax_rows", "max_time", "sum_time", "slice_axis"])
+def test_time_op_gradients_over_videos_match_finite_differences(op):
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(6, 4))
 
     def build(arrs):
         tape = ad.Tape("f64")

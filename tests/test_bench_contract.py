@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps avloc functions by dotted name; every name it
 lists must still resolve, so a rename shows up here rather than only in a
-traced benchmark run."""
+traced benchmark run. The tracer also reads operand shapes, so a short
+traced training run must go through it without an error."""
 
 import os
 import runpy
@@ -8,6 +9,7 @@ import runpy
 import pytest
 
 import avloc
+from avloc.data import load_entry, synth_dataset
 
 # run_path compiles the file in memory: nothing is imported or cached under perfbench/
 SPANS = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -21,3 +23,21 @@ def test_every_traced_name_resolves_to_an_avloc_callable(name):
     if owner:  # a method, which the tracer patches on its class
         scope = getattr(scope, owner[0])
     assert callable(vars(scope).get(fname)), name
+
+
+def test_traced_batched_training_and_predict_run_through_the_tracer(tmp_path):
+    dims = dict(T=10, d_a=32, d_v=64, h=3, w=3, classes=4)
+    manifest, _ = synth_dataset(str(tmp_path), seed=4, n_videos=6, **dims)
+    cfg = avloc.TrainConfig(model=avloc.ModelConfig(dims=avloc.Dims(**dims)),
+                            epochs=1, batch_size=4)
+    bundle = load_entry(manifest, manifest.entries[0], str(tmp_path))
+    tracer = SPANS["Tracer"](avloc)
+    tracer.install()
+    try:
+        params, _ = avloc.train(cfg, manifest, str(tmp_path))
+        avloc.predict(params, cfg.model, bundle)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"autodiff.conv2d", "autodiff.matmul", "heads.supervised_loss"} <= names
+    assert tracer.leftover_wrappers() == []

@@ -210,3 +210,115 @@ def test_golden_forward_convs_match_the_per_row_block_computation(monkeypatch):
          (1, 1, 64, 64), (1, 1, 64, 64), (1, 1, 64, 1)])
     for X, K, out in seen:
         assert out.tobytes() == _per_row_block_conv(X, K).tobytes(), K.shape
+
+
+# ---------------------------------------------------------------------------
+# mini-batches: B videos on one tape, B*T rows
+
+
+def _batch(cfg, videos, seed=30):
+    bundles = [default_bundle(seed + i, cfg) for i in range(videos)]
+    rng = np.random.default_rng(seed)
+    classes = [int(c) for c in rng.integers(cfg.n_class_outputs, size=videos)]
+    relevance = rng.integers(0, 2, size=(videos, cfg.dims.T))
+    return bundles, classes, relevance
+
+
+def _f64_loss(params, cfg, audio, visual, classes, relevance):
+    """Forward, loss and parameter gradients on an f64 tape."""
+    tape = ad.Tape("f64")
+    fwd = run_forward(tape, params, audio, visual, cfg)
+    if cfg.mode == "weak":
+        loss = heads.weak_aggregate_loss(fwd.segment_logits, classes)
+    else:
+        loss = heads.supervised_loss(fwd.class_probs, fwd.event_scores, classes, relevance)
+    return fwd, loss.item(), tape.backward(loss, fwd.leaf_list())
+
+
+@pytest.mark.parametrize("videos", [1, 3])
+@pytest.mark.parametrize("temporal", [True, False])
+@pytest.mark.parametrize("motion_mode", ["pfme", "future_only", "off"])
+@pytest.mark.parametrize("mode", ["supervised", "weak"])
+def test_batched_forward_and_mean_gradient_match_per_video_in_f64(
+        mode, motion_mode, temporal, videos):
+    cfg = ModelConfig(mode=mode, motion=motion_mode, temporal_attention=temporal)
+    params = init_params(cfg, seed=9)
+    bundles, classes, relevance = _batch(cfg, videos)
+    fwd, loss, grads = _f64_loss(params, cfg, np.stack([b.audio for b in bundles]),
+                                 np.stack([b.visual for b in bundles]), classes,
+                                 relevance.reshape(-1))
+    T = cfg.dims.T
+    assert fwd.class_probs.shape == (videos, cfg.n_class_outputs)
+    assert fwd.event_scores.shape == (videos * T, 1)
+    singles = [_f64_loss(params, cfg, b.audio, b.visual, c, r)
+               for b, c, r in zip(bundles, classes, relevance)]
+    for i, (one, _, _) in enumerate(singles):
+        rows = slice(i * T, (i + 1) * T)
+        npt.assert_allclose(fwd.class_probs.data[i:i + 1], one.class_probs.data,
+                            rtol=0, atol=1e-10)
+        npt.assert_allclose(fwd.event_scores.data[rows], one.event_scores.data,
+                            rtol=0, atol=1e-10)
+        npt.assert_allclose(fwd.fused.data[rows], one.fused.data, rtol=0, atol=1e-10)
+        if mode == "weak":
+            npt.assert_allclose(fwd.segment_logits.data[rows], one.segment_logits.data,
+                                rtol=0, atol=1e-10)
+    npt.assert_allclose(loss, np.mean([s[1] for s in singles]), rtol=0, atol=1e-10)
+    for k, g in enumerate(grads):
+        mean = np.mean([s[2][k] for s in singles], axis=0)
+        npt.assert_allclose(g, mean, rtol=0, atol=1e-10)
+
+
+def test_perturbing_one_video_leaves_the_others_in_the_batch_unchanged():
+    cfg = ModelConfig()
+    params = init_params(cfg, seed=10)
+    bundles, _, _ = _batch(cfg, 3)
+    audio = np.stack([b.audio for b in bundles])
+    visual = np.stack([b.visual for b in bundles])
+    before = run_forward(ad.Tape(), params, audio, visual, cfg)
+    audio[1] += 1.0
+    visual[1] *= -2.0
+    after = run_forward(ad.Tape(), params, audio, visual, cfg)
+    T = cfg.dims.T
+    for i in (0, 2):
+        rows = slice(i * T, (i + 1) * T)
+        npt.assert_array_equal(after.class_probs.data[i], before.class_probs.data[i])
+        npt.assert_array_equal(after.event_scores.data[rows], before.event_scores.data[rows])
+        npt.assert_array_equal(after.fused.data[rows], before.fused.data[rows])
+    assert not np.array_equal(after.fused.data[T:2 * T], before.fused.data[T:2 * T])
+
+
+def test_every_video_of_a_batch_has_exact_zero_boundary_motion():
+    from avloc import motion
+    videos, T, h, w, c = 4, 5, 2, 3, 6
+    rng = np.random.default_rng(11)
+    tape = ad.Tape()
+    aligned = tape.leaf(rng.normal(size=(videos * T, h, w, c)))
+    past_kernel, future_kernel = (tape.leaf(rng.normal(size=(3, 3, c, c))) for _ in range(2))
+    past, future = motion.past_future_motion(aligned, past_kernel, future_kernel, videos)
+    past = past.data.reshape(videos, T, h, w, c)
+    future = future.data.reshape(videos, T, h, w, c)
+    assert np.all(past[:, 0] == 0.0) and np.all(future[:, T - 1] == 0.0)
+    assert np.all(past[:, 1:] != 0.0) and np.all(future[:, :T - 1] != 0.0)
+
+
+def test_model_params_are_read_only_and_forwarded_without_a_copy():
+    cfg = ModelConfig()
+    params = init_params(cfg, seed=12)
+    with pytest.raises(ValueError, match="read-only"):
+        params.arrays["motion.out_map"][0, 0] = 1.0
+    params.set_array("head.class_bias", np.ones((1, 4), dtype=np.float32))
+    assert all(not a.flags.writeable for _, a in params.items())
+    bundle = default_bundle(12, cfg)
+    fwd = run_forward(ad.Tape(), params, bundle.audio, bundle.visual, cfg)
+    for name, arr in params.items():
+        assert fwd.leaves[name].data is arr, name
+
+
+def test_predictions_from_aliased_and_copied_parameters_are_identical(monkeypatch):
+    cfg = ModelConfig()
+    params = init_params(cfg, seed=13)
+    bundle = default_bundle(13, cfg)
+    aliased = predict(params, cfg, bundle)
+    monkeypatch.setattr(ad.Tape, "param", ad.Tape.leaf)
+    copied = predict(params, cfg, bundle)
+    assert aliased.to_record() == copied.to_record()

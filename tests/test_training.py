@@ -17,7 +17,7 @@ from avloc.errors import (AvlocError, ConfigError, ConsistencyError, ContractErr
                           FormatError, TrainingDiverged)
 from avloc.model import Dims, ModelConfig, init_params, predict
 from avloc.training import (ABLATION_VARIANTS, AblationTable, MetricsReport,
-                            TrainConfig, _video_loss, ablate, evaluate,
+                            TrainConfig, _batch_loss, ablate, evaluate,
                             load_checkpoint, save_checkpoint, split_manifest, train)
 
 TINY = dict(T=4, d_a=6, d_v=8, h=2, w=2, classes=3)
@@ -125,14 +125,14 @@ def test_nonfinite_gradient_aborts_before_the_update(tiny_dataset, monkeypatch):
     it, naming the parameter and the epoch."""
     import avloc.training as training
     manifest, base = tiny_dataset
-    video_loss = training._video_loss
+    batch_loss = training._batch_loss
 
     def poisoned(*args):
-        loss, grads, fwd = video_loss(*args)
+        loss, grads, fwd = batch_loss(*args)
         grads["visual_gate.channel_value"][0, 0] = np.nan
         return loss, grads, fwd
 
-    monkeypatch.setattr(training, "_video_loss", poisoned)
+    monkeypatch.setattr(training, "_batch_loss", poisoned)
     with pytest.raises(TrainingDiverged, match=r"'visual_gate\.channel_value' at epoch 0"):
         train(tiny_config(epochs=1), manifest, base)
 
@@ -141,8 +141,8 @@ def test_finished_tapes_are_freed_without_the_cycle_collector(tiny_dataset, monk
     manifest, base = tiny_dataset
     cfg = tiny_config().model
     params = init_params(cfg, 0)
-    entry = manifest.entries[0]
-    bundle = load_entry(manifest, entry, base)
+    entries = manifest.entries[:2]
+    batch = [load_entry(manifest, e, base) for e in entries]
     tapes = []
 
     class RecordingTape(ad.Tape):
@@ -153,14 +153,47 @@ def test_finished_tapes_are_freed_without_the_cycle_collector(tiny_dataset, monk
     monkeypatch.setattr(ad, "Tape", RecordingTape)
     gc.disable()
     try:
-        _, _, fwd = _video_loss(params, cfg, bundle.audio, bundle.visual, entry.label)
+        _, _, fwd = _batch_loss(params, cfg, batch, [e.label for e in entries])
         assert len(tapes) == 1 and fwd.class_probs.tape is tapes[0]()
         del fwd  # the training step's last reference to its tape
         assert tapes[0]() is None
-        predict(params, cfg, bundle)
+        predict(params, cfg, batch[0])
         assert len(tapes) == 2 and tapes[1]() is None
     finally:
         gc.enable()
+
+
+def test_short_last_batch_trains_and_epoch_loss_is_the_mean_per_video_loss(
+        tmp_path, monkeypatch):
+    import avloc.training as training
+    base = str(tmp_path / "ten")
+    manifest, _ = synth_dataset(base, seed=3, n_videos=10, **TINY)
+    batch_loss = training._batch_loss
+    sizes, video_losses = [], []
+
+    def recording(params, cfg, bundles, labels):
+        sizes.append(len(bundles))
+        # each video alone, with the parameters this step sees
+        video_losses.extend(batch_loss(params, cfg, [b], [label])[0]
+                            for b, label in zip(bundles, labels))
+        return batch_loss(params, cfg, bundles, labels)
+
+    monkeypatch.setattr(training, "_batch_loss", recording)
+    params, report = train(tiny_config(epochs=1, batch_size=4), manifest, base)
+    assert sizes == [4, 4, 2]
+    assert len(video_losses) == 10
+    npt.assert_allclose(report.losses[0], np.mean(video_losses), rtol=1e-6)
+    assert all(np.isfinite(a).all() for _, a in params.items())
+
+
+def test_adam_and_load_checkpoint_leave_read_only_parameters(tiny_dataset, tmp_path):
+    manifest, base = tiny_dataset
+    params, _ = train(tiny_config(epochs=1), manifest, base, out_dir=str(tmp_path))
+    loaded, _ = load_checkpoint(str(tmp_path / "checkpoint"))
+    for arrays in (params.arrays, loaded.arrays):
+        assert all(not a.flags.writeable for a in arrays.values())
+        with pytest.raises(ValueError, match="read-only"):
+            arrays["head.event_bias"][0, 0] = 1.0
 
 
 def test_loss_curve_is_monotone_on_noiseless_data(tmp_path):
