@@ -43,10 +43,9 @@ print("boundary rows are exactly zero:",
 # tape, so the gate is rebuilt on a fresh tape together with the motion.
 audio = rng.normal(size=(d.T, d.d_a)).astype(np.float32)
 tape2 = ad.Tape()
-feature2 = motion.motion_feature(
-    tape2.leaf(frames), tape2.leaf(params["motion.align_kernel"]),
-    tape2.leaf(params["motion.past_kernel"]), tape2.leaf(params["motion.future_kernel"]),
-    tape2.leaf(params["motion.out_map"]))
+motion_weights = {name.split(".", 1)[1]: tape2.leaf(array)
+                  for name, array in params.items() if name.startswith("motion.")}
+feature2 = motion.motion_feature(tape2.leaf(frames), motion_weights, mode="pfme")
 # the gate weight initializes to zero (uniform attention), so draw a random
 # one here to show how motion concentrates the temporal weights
 gated, weights, _ = attention.motion_guided_audio(

@@ -9,7 +9,7 @@ and evaluation harness.
 from .autodiff import Tape, Tensor
 from .data import (DatasetManifest, FeatureBundle, LabelRecord, load_bundle,
                    load_manifest, nearest_prototype_accuracy, save_bundle,
-                   synth_dataset, validate_dataset)
+                   synth_dataset)
 from .heads import Prediction
 from .model import Dims, ModelConfig, ModelParams, init_params, predict, run_forward
 from .training import (AblationTable, MetricsReport, TrainConfig, ablate,
@@ -19,7 +19,7 @@ __all__ = [
     "Tape", "Tensor",
     "DatasetManifest", "FeatureBundle", "LabelRecord", "load_bundle",
     "load_manifest", "nearest_prototype_accuracy", "save_bundle",
-    "synth_dataset", "validate_dataset",
+    "synth_dataset",
     "Prediction",
     "Dims", "ModelConfig", "ModelParams", "init_params", "predict", "run_forward",
     "AblationTable", "MetricsReport", "TrainConfig", "ablate", "evaluate",

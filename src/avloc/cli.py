@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--motion", choices=["pfme", "future-only", "off"], default="pfme")
     p.add_argument("--temporal-attention", choices=["on", "off"], default="on")
-    p.add_argument("--scale-mode", choices=["sqrt", "linear"], default="sqrt")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     p.add_argument("--manifest", required=True)
@@ -90,8 +89,7 @@ def _dispatch(args) -> int:
     if args.command == "train":
         model_cfg = ModelConfig(dims=dims, mode=args.mode,
                                 motion=args.motion.replace("-", "_"),
-                                temporal_attention=args.temporal_attention == "on",
-                                scale_mode=args.scale_mode)
+                                temporal_attention=args.temporal_attention == "on")
         cfg = TrainConfig(model=model_cfg, epochs=args.epochs,
                           batch_size=args.batch, learning_rate=args.lr,
                           seed=args.seed)

@@ -301,13 +301,6 @@ def load_entry(manifest: DatasetManifest, entry: ManifestEntry, base_dir: str) -
     return load_bundle(os.path.join(base_dir, entry.path), manifest, entry.video_id)
 
 
-def validate_dataset(manifest: DatasetManifest, base_dir: str) -> None:
-    """Load every file and re-check labels; raises on any inconsistency."""
-    manifest.validate()
-    for entry in manifest.entries:
-        load_entry(manifest, entry, base_dir)
-
-
 # ---------------------------------------------------------------------------
 # synthetic planted-event data
 
@@ -372,6 +365,8 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
         raise ContractError(f"snr must be positive, got {snr}")
     if n_videos < 0:
         raise ContractError(f"n_videos must be >= 0, got {n_videos}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     noise_scale = 0.0 if np.isinf(snr) else 1.0 / float(snr)
     classes, T = manifest.classes, manifest.T
     audio_shape, visual_shape = manifest.shapes()
@@ -432,7 +427,6 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
         masks.append(distractor)
 
     save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
-    validate_dataset(manifest, out_dir)
     return manifest, SynthInfo(audio_prototypes=audio_protos,
                                visual_patterns=visual_patterns,
                                spans=spans, distractor_masks=masks)

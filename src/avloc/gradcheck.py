@@ -168,9 +168,10 @@ def _group_shapes(prefix: str) -> dict[str, tuple[int, ...]]:
 
 
 def _motion_checks(rng) -> list[CheckResult]:
+    group = _group_shapes("motion")
     return _family(rng, "motion.feature", _fixed(
-        rng, motion.motion_feature, (_T, _H, _W, _DV), (1, 1, _DV, _DA),
-        (3, 3, _DA, _DA), (3, 3, _DA, _DA), (_DA, _DA)))
+        rng, lambda visual, *w: motion.motion_feature(visual, dict(zip(group, w))),
+        (_T, _H, _W, _DV), *group.values()))
 
 
 def _attention_checks(rng) -> list[CheckResult]:
@@ -189,16 +190,13 @@ def _attention_checks(rng) -> list[CheckResult]:
 
 
 def _fusion_checks(rng) -> list[CheckResult]:
-    results = []
-    for scale_mode in fusion.SCALE_MODES:
-        results += _family(rng, f"fusion.cross_modal_attend.{scale_mode}", _fixed(
-            rng, lambda q, c, *w, mode=scale_mode: fusion.cross_modal_attend(
-                q, c, *w, scale_mode=mode),
-            (_T, _DM), (_T, _DM), (_DM, _DM), (_DM, _DM), (_DM, _DM + 1)))
     branch = _group_shapes("interaction")
-    return results + _family(rng, "fusion.interact", _fixed(
-        rng, lambda a, v, proj, *w: fusion.interact(a, v, proj, dict(zip(branch, w))),
-        (_T, _DM), (_T, _DM), (2 * _DM, _DM), *branch.values()))
+    return (_family(rng, "fusion.cross_modal_attend.sqrt", _fixed(
+                rng, fusion.cross_modal_attend,
+                (_T, _DM), (_T, _DM), (_DM, _DM), (_DM, _DM), (_DM, _DM + 1)))
+            + _family(rng, "fusion.interact", _fixed(
+                rng, lambda a, v, proj, *w: fusion.interact(a, v, proj, dict(zip(branch, w))),
+                (_T, _DM), (_T, _DM), (2 * _DM, _DM), *branch.values())))
 
 
 def _head_checks(rng) -> list[CheckResult]:

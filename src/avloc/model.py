@@ -14,7 +14,7 @@ rows in the leading axis (see autodiff); a single video is the case B=1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, asdict
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .data import FeatureBundle, FeatureDims, dim
 from .errors import ConfigError, ShapeError
 from .heads import Prediction
 
-MOTION_MODES = ("pfme", "future_only", "off")
 MODES = ("supervised", "weak")
 
 
@@ -37,7 +36,11 @@ class Dims(FeatureDims):
     relation: int = dim(64)   # channel width of the relation branches
 
 
-def _check_keys(cls, doc, legacy: tuple[str, ...] = ()) -> None:
+# keys that earlier configs stored, with the one value this model computes
+RETIRED_KEYS = {"past_variant": "printed", "scale_mode": "sqrt"}
+
+
+def _check_keys(cls, doc, legacy: Iterable[str] = ()) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object, got {doc!r}")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)} - set(legacy))
@@ -51,16 +54,14 @@ class ModelConfig:
     mode: str = "supervised"
     motion: str = "pfme"                 # pfme | future_only | off
     temporal_attention: bool = True
-    scale_mode: str = "sqrt"             # sqrt | linear attention scaling
 
     def validate(self) -> None:
         self.dims.validate()
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.motion not in MOTION_MODES:
-            raise ConfigError(f"motion must be one of {MOTION_MODES}, got {self.motion!r}")
-        if self.scale_mode not in fusion.SCALE_MODES:
-            raise ConfigError(f"scale_mode must be one of {fusion.SCALE_MODES}")
+        if self.motion not in motion.MOTION_MODES:
+            raise ConfigError(f"motion must be one of {motion.MOTION_MODES}, "
+                              f"got {self.motion!r}")
         if not isinstance(self.temporal_attention, bool):
             raise ConfigError(f"temporal_attention must be a bool, "
                               f"got {self.temporal_attention!r}")
@@ -75,12 +76,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        _check_keys(cls, doc, legacy=("past_variant",))
+        _check_keys(cls, doc, legacy=RETIRED_KEYS)
         doc = dict(doc)
-        # checkpoints written while past_variant existed store "printed",
-        # the only past-motion rule this model computes
-        if doc.pop("past_variant", "printed") != "printed":
-            raise ConfigError("past_variant: only 'printed' can be loaded")
+        for key, value in RETIRED_KEYS.items():
+            if doc.pop(key, value) != value:
+                raise ConfigError(f"{key}: only {value!r} can be loaded")
         dims = doc.pop("dims", {})
         _check_keys(Dims, dims)
         cfg = cls(dims=Dims(**dims), **doc)
@@ -224,7 +224,8 @@ class ForwardPass:
 def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
                 visual: np.ndarray, cfg: ModelConfig) -> ForwardPass:
     """Forward one video, (T, d_a) audio and (T, h, w, d_v) visual, or a
-    mini-batch of B videos stacked as (B, T, d_a) and (B, T, h, w, d_v)."""
+    mini-batch of B videos stacked as (B, T, d_a) and (B, T, h, w, d_v).
+    Read-only f32 features go on the tape without a copy, like the params."""
     cfg.validate()
     d = cfg.dims
     audio_shape, visual_shape = d.shapes()
@@ -235,23 +236,12 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
                          f"the config's {d.shapes()}")
     rows = videos * d.T
     leaves = {name: tape.param(arr) for name, arr in params.items()}
-    audio_in = tape.leaf(audio.reshape(rows, d.d_a))
-    visual_in = tape.leaf(visual.reshape((rows,) + visual_shape[1:]))
+    audio_in = tape.param(audio.reshape(rows, d.d_a))
+    visual_in = tape.param(visual.reshape((rows,) + visual_shape[1:]))
     stages: dict[str, ad.Tensor] = {}
 
-    if cfg.motion == "off":
-        motion_feat = tape.zeros((rows, d.d_a))
-    else:
-        aligned = motion.align_channels(visual_in, leaves["motion.align_kernel"])
-        stages["motion.align"] = aligned
-        if cfg.motion == "future_only":
-            past = tape.zeros((rows, d.h, d.w, d.d_a))
-            future = motion.future_motion(aligned, leaves["motion.future_kernel"], videos)
-        else:
-            past, future = motion.past_future_motion(
-                aligned, leaves["motion.past_kernel"], leaves["motion.future_kernel"],
-                videos)
-        motion_feat = motion.fuse_and_pool(past, future, leaves["motion.out_map"])
+    motion_feat = motion.motion_feature(visual_in, _group(leaves, "motion"), cfg.motion,
+                                        videos)
     stages["motion.feature"] = motion_feat
 
     audio_gated = attention.motion_guided_audio(
@@ -268,13 +258,12 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
     audio_rel, visual_rel = fusion.relation_aware(
         audio_gated, visual_static,
         leaves["streams.audio"], leaves["streams.visual"],
-        _group(leaves, "audio_branch"), _group(leaves, "visual_branch"), cfg.scale_mode,
-        videos)
+        _group(leaves, "audio_branch"), _group(leaves, "visual_branch"), videos)
     stages["relation.audio"] = audio_rel
     stages["relation.visual"] = visual_rel
 
     fused = fusion.interact(audio_rel, visual_rel, leaves["streams.fused"],
-                            _group(leaves, "interaction"), cfg.scale_mode, videos)
+                            _group(leaves, "interaction"), videos)
     stages["interaction"] = fused
 
     head_leaves = _group(leaves, "head")

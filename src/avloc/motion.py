@@ -5,7 +5,8 @@ visual channels to the audio width, difference each segment against its
 temporal neighbors through small spatial convolutions (which absorb pixel
 offset between segments), fuse both directions, spatially pool, and remap
 channels. The first segment has no past and the last no future, so those
-rows are exactly zero by construction.
+rows are exactly zero by construction. The ablation modes replace the past
+motion (`future_only`) or the whole feature (`off`) with zeros.
 
 A mini-batch of B videos arrives as (B*T, h, w, d) with `videos=B`; every
 neighbour and every zero row stays inside its own video.
@@ -13,8 +14,12 @@ neighbour and every zero row stays inside its own video.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from . import autodiff as ad
-from .errors import ContractError
+from .errors import ConfigError, ContractError
+
+MOTION_MODES = ("pfme", "future_only", "off")
 
 
 def align_channels(visual: ad.Tensor, align_kernel: ad.Tensor) -> ad.Tensor:
@@ -66,10 +71,20 @@ def fuse_and_pool(past: ad.Tensor, future: ad.Tensor, out_map: ad.Tensor) -> ad.
     return ad.matmul(pooled, out_map)
 
 
-def motion_feature(visual: ad.Tensor, align_kernel: ad.Tensor,
-                   past_kernel: ad.Tensor, future_kernel: ad.Tensor,
-                   out_map: ad.Tensor) -> ad.Tensor:
-    """Full extractor: (T, h, w, d_v) visual -> (T, d_a) motion feature."""
-    aligned = align_channels(visual, align_kernel)
-    past, future = past_future_motion(aligned, past_kernel, future_kernel)
-    return fuse_and_pool(past, future, out_map)
+def motion_feature(visual: ad.Tensor, p: Mapping[str, ad.Tensor], mode: str = "pfme",
+                   videos: int = 1) -> ad.Tensor:
+    """(T, h, w, d_v) visual -> (T, d_a) motion feature, from the `motion`
+    group of the model's parameter table. `future_only` sets the past motion
+    to zero; `off` is all zeros and reads no weight."""
+    if mode not in MOTION_MODES:
+        raise ConfigError(f"motion must be one of {MOTION_MODES}, got {mode!r}")
+    if mode == "off":
+        return visual.tape.zeros((visual.shape[0], p["out_map"].shape[1]))
+    aligned = align_channels(visual, p["align_kernel"])
+    if mode == "future_only":
+        past = aligned.tape.zeros(aligned.shape)
+        future = future_motion(aligned, p["future_kernel"], videos)
+    else:
+        past, future = past_future_motion(aligned, p["past_kernel"], p["future_kernel"],
+                                          videos)
+    return fuse_and_pool(past, future, p["out_map"])

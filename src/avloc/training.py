@@ -23,7 +23,7 @@ from . import heads
 from .data import (DatasetManifest, FeatureBundle, LabelRecord, load_entry,
                    read_block, write_block)
 from .errors import ConfigError, ConsistencyError, ContractError, FormatError, TrainingDiverged
-from .model import (ForwardPass, ModelConfig, ModelParams, init_params,
+from .model import (ForwardPass, ModelConfig, ModelParams, _freeze, init_params,
                     param_table, predict, run_forward)
 
 CHECKPOINT_VERSION = "avloc-checkpoint-1"
@@ -46,6 +46,9 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate!r}")
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
+            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -100,10 +103,11 @@ def _batch_loss(params: ModelParams, cfg: ModelConfig, bundles: list[FeatureBund
                 labels: list[LabelRecord]
                 ) -> tuple[float, dict[str, np.ndarray], ForwardPass]:
     """Mean loss of the videos and its gradient, from one forward and one
-    backward over the stacked batch."""
+    backward over the stacked batch. The stacks are frozen, so the tape
+    takes them without a second copy."""
     tape = ad.Tape()
-    fwd = run_forward(tape, params, np.stack([b.audio for b in bundles]),
-                      np.stack([b.visual for b in bundles]), cfg)
+    fwd = run_forward(tape, params, _freeze(np.stack([b.audio for b in bundles])),
+                      _freeze(np.stack([b.visual for b in bundles])), cfg)
     classes = [label.video_class for label in labels]
     if cfg.mode == "weak":
         loss = heads.weak_aggregate_loss(fwd.segment_logits, classes)
@@ -357,6 +361,8 @@ def ablate(base: TrainConfig, manifest: DatasetManifest, base_dir: str,
     held-out segment accuracy per run."""
     if len(seeds) < 2:
         raise ContractError("ablation needs at least 2 seeds")
+    for seed in seeds:  # a bad seed fails before any run trains
+        replace(base, seed=seed).validate()
     train_manifest, held_manifest = split_manifest(manifest)
     rows = []
     for variant, motion_mode, temporal in ABLATION_VARIANTS:

@@ -173,8 +173,7 @@ def test_acceptance_determinism(tmp_path):
     manifest_path = os.path.join(base, "manifest.json")
     flags = ["train", "--manifest", manifest_path, "--mode", "supervised",
              "--epochs", "8", "--batch", "8", "--lr", "5e-4", "--seed", "42",
-             "--motion", "pfme", "--temporal-attention", "on",
-             "--scale-mode", "sqrt"]
+             "--motion", "pfme", "--temporal-attention", "on"]
     reports = []
     for run_dir in (str(tmp_path / "run1"), str(tmp_path / "run2")):
         assert main(flags + ["--out", run_dir]) == 0

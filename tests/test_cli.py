@@ -49,7 +49,7 @@ def test_train_eval_round_trip(dataset, workspace):
     code = main(["train", "--manifest", dataset, "--mode", "supervised",
                  "--epochs", "2", "--batch", "4", "--lr", "5e-4", "--seed", "0",
                  "--out", run_dir, "--motion", "pfme",
-                 "--temporal-attention", "on", "--scale-mode", "sqrt"])
+                 "--temporal-attention", "on"])
     assert code == 0
     report = json.load(open(os.path.join(run_dir, "report.json")))
     assert len(report["losses"]) == 2
@@ -72,12 +72,11 @@ def test_train_motion_flag_spellings(dataset, workspace):
     run_dir = os.path.join(workspace, "run_future")
     code = main(["train", "--manifest", dataset, "--epochs", "1",
                  "--batch", "4", "--out", run_dir, "--motion", "future-only",
-                 "--temporal-attention", "off", "--scale-mode", "linear"])
+                 "--temporal-attention", "off"])
     assert code == 0
     report = json.load(open(os.path.join(run_dir, "report.json")))
     assert report["config"]["model"]["motion"] == "future_only"
     assert report["config"]["model"]["temporal_attention"] is False
-    assert report["config"]["model"]["scale_mode"] == "linear"
 
 
 def test_eval_on_missing_checkpoint_fails_cleanly(dataset, workspace):
@@ -104,11 +103,15 @@ def test_ablate_writes_json_and_csv(dataset, workspace, monkeypatch):
     (["synth", "--snr", "-1"], "snr"),
     (["synth", "--videos", "-1"], "n_videos"),
     (["ablate", "--seeds", "1,x"], "--seeds"),
-], ids=["zero_snr", "negative_snr", "negative_videos", "unparsable_seeds"])
+    (["synth", "--seed", "-1"], "seed"),
+    (["train", "--seed", "-1"], "seed"),
+    (["ablate", "--seeds=-1,2"], "seed"),
+], ids=["zero_snr", "negative_snr", "negative_videos", "unparsable_seeds",
+        "negative_synth_seed", "negative_train_seed", "negative_ablate_seed"])
 def test_bad_cli_input_is_a_typed_error(dataset, workspace, capsys, command,
                                         message):
     out = os.path.join(workspace, "bad_input")
-    target = ["--out", out] + (["--manifest", dataset] if command[0] == "ablate" else [])
+    target = ["--out", out] + (["--manifest", dataset] if command[0] != "synth" else [])
     assert main(command + target) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)

@@ -11,7 +11,7 @@ from avloc.cli import main
 from avloc.data import (DatasetManifest, FeatureBundle, LabelRecord,
                         ManifestEntry, load_bundle, load_entry, load_manifest,
                         nearest_prototype_accuracy, save_bundle, save_manifest,
-                        synth_dataset, validate_dataset)
+                        synth_dataset)
 from avloc.errors import (AvlocError, ConfigError, ConsistencyError,
                           ContractError, DataError, FormatError, LabelError)
 
@@ -257,7 +257,8 @@ def test_same_seed_gives_byte_identical_dataset(tmp_path):
 
 def test_generated_dataset_is_self_consistent(tmp_path):
     manifest, _ = synth_dataset(str(tmp_path), seed=0, n_videos=6)
-    validate_dataset(manifest, str(tmp_path))
+    for entry in manifest.entries:
+        load_entry(manifest, entry, str(tmp_path))
     reloaded = load_manifest(str(tmp_path / "manifest.json"))
     assert len(reloaded.entries) == 6
 
@@ -329,7 +330,8 @@ def test_background_fraction_produces_valid_negative_videos(tmp_path):
     assert negatives
     for entry in negatives:
         assert entry.label.video_class == manifest.classes
-    validate_dataset(manifest, str(tmp_path))
+    for entry in manifest.entries:
+        load_entry(manifest, entry, str(tmp_path))
 
 
 def test_generator_rejects_bad_dims(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from avloc import autodiff as ad
 from avloc import fusion
-from avloc.errors import ConfigError, ShapeError
+from avloc.errors import ShapeError
 from avloc.gradcheck import check_gradients
 
 T, DM = 4, 3
@@ -52,8 +52,7 @@ def test_attention_matches_straight_line_oracle():
     k_p = rng.normal(size=(3, 3))
     v_p = rng.normal(size=(3, 4))
     t = ad.Tape("f64")
-    out = fusion.cross_modal_attend(*leaves(t, x, y, q_p, k_p, v_p),
-                                    scale_mode="sqrt")
+    out = fusion.cross_modal_attend(*leaves(t, x, y, q_p, k_p, v_p))
 
     # project, score, normalize, mix
     g = np.concatenate([x, y], axis=0)
@@ -63,23 +62,17 @@ def test_attention_matches_straight_line_oracle():
     npt.assert_allclose(out.data, weights @ (g @ v_p), atol=1e-6)
 
 
-def test_scale_modes_change_values_but_not_normalization():
+def test_attention_weights_are_a_distribution_over_2T_rows():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(T, DM))
     y = rng.normal(size=(T, DM))
     q_p, k_p, v_p = (rng.normal(size=(DM, DM)) for _ in range(3))
-    outs = {}
-    for mode in fusion.SCALE_MODES:
-        t = ad.Tape("f64")
-        out, weights = fusion.cross_modal_attend(
-            *leaves(t, x, y, q_p, k_p, v_p), scale_mode=mode, return_weights=True)
-        assert weights.shape == (T, 2 * T)
-        assert (weights.data >= 0).all()
-        npt.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
-        outs[mode] = out.data
-    assert not np.allclose(outs["sqrt"], outs["linear"])
-    with pytest.raises(ConfigError):
-        fusion.attention_scale(DM, "cube")
+    t = ad.Tape("f64")
+    _, weights = fusion.cross_modal_attend(
+        *leaves(t, x, y, q_p, k_p, v_p), return_weights=True)
+    assert weights.shape == (T, 2 * T)
+    assert (weights.data >= 0).all()
+    npt.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_permuting_the_context_rows_leaves_outputs_unchanged():

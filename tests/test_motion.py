@@ -6,7 +6,7 @@ import pytest
 
 from avloc import autodiff as ad
 from avloc import motion
-from avloc.errors import ContractError
+from avloc.errors import ConfigError, ContractError
 from avloc.gradcheck import check_gradients
 
 from test_autodiff import conv2d_oracle
@@ -132,8 +132,30 @@ def test_full_pipeline_gradient_matches_finite_differences():
     def build(arrs):
         tape = ad.Tape("f64")
         leaves = [tape.leaf(a) for a in arrs]
-        out = motion.motion_feature(*leaves)
+        weights = dict(zip(("align_kernel", "past_kernel", "future_kernel", "out_map"),
+                           leaves[1:]))
+        out = motion.motion_feature(leaves[0], weights)
         return ad.sum_all(ad.mul(out, tape.leaf(mix))), leaves
 
     result = check_gradients("motion.full", build, arrays)
     assert result.passed, result.line()
+
+
+def test_motion_feature_modes_zero_what_they_leave_out():
+    rng = np.random.default_rng(9)
+    t = ad.Tape("f64")
+    visual = t.leaf(rng.normal(size=(4, 2, 2, 3)))
+    p = {"align_kernel": t.leaf(rng.normal(size=(1, 1, 3, 2))),
+         "past_kernel": t.leaf(rng.normal(size=(3, 3, 2, 2))),
+         "future_kernel": t.leaf(rng.normal(size=(3, 3, 2, 2))),
+         "out_map": t.leaf(rng.normal(size=(2, 2)))}
+    aligned = motion.align_channels(visual, p["align_kernel"])
+    past, future = motion.past_future_motion(aligned, p["past_kernel"], p["future_kernel"])
+    npt.assert_array_equal(motion.motion_feature(visual, p, "pfme").data,
+                           motion.fuse_and_pool(past, future, p["out_map"]).data)
+    npt.assert_array_equal(
+        motion.motion_feature(visual, p, "future_only").data,
+        motion.fuse_and_pool(t.zeros(past.shape), future, p["out_map"]).data)
+    npt.assert_array_equal(motion.motion_feature(visual, p, "off").data, np.zeros((4, 2)))
+    with pytest.raises(ConfigError, match="motion"):
+        motion.motion_feature(visual, p, "past_only")

@@ -163,6 +163,45 @@ def test_finished_tapes_are_freed_without_the_cycle_collector(tiny_dataset, monk
         gc.enable()
 
 
+def test_batch_step_tapes_its_stacked_inputs_without_a_copy(tiny_dataset, monkeypatch):
+    """The stacked batch is the tape's input node; a caller's writable
+    features (as in predict) are still copied."""
+    import avloc.training as training
+    from avloc import attention, motion
+    manifest, base = tiny_dataset
+    cfg = tiny_config().model
+    params = init_params(cfg, 0)
+    entries = manifest.entries[:3]
+    batch = [load_entry(manifest, e, base) for e in entries]
+    given, taped = {}, {}
+
+    def spy(module, name, record, key):
+        original = getattr(module, name)
+
+        def wrapped(first, *args, **kwargs):
+            record[key] = first.data
+            return original(first, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    run_forward = training.run_forward
+
+    def recording_forward(tape, params, audio, visual, cfg):
+        given.update(audio=audio, visual=visual)
+        return run_forward(tape, params, audio, visual, cfg)
+
+    monkeypatch.setattr(training, "run_forward", recording_forward)
+    spy(motion, "motion_feature", taped, "visual")
+    spy(attention, "motion_guided_audio", taped, "audio")
+    _batch_loss(params, cfg, batch, [e.label for e in entries])
+    for key in ("audio", "visual"):
+        assert given[key].shape[0] == 3
+        assert np.shares_memory(taped[key], given[key]), key
+
+    predict(params, cfg, batch[0])
+    assert not np.shares_memory(taped["audio"], batch[0].audio)
+    assert not np.shares_memory(taped["visual"], batch[0].visual)
+
+
 def test_short_last_batch_trains_and_epoch_loss_is_the_mean_per_video_loss(
         tmp_path, monkeypatch):
     import avloc.training as training
@@ -321,6 +360,8 @@ def _edit_index(edit):
                  ConfigError, "temporal_attention", id="string_temporal_attention"),
     pytest.param(_edit_index(lambda ix: ix["config"].update(past_variant="conv_prev")),
                  ConfigError, "past_variant", id="unsupported_past_variant"),
+    pytest.param(_edit_index(lambda ix: ix["config"].update(scale_mode="linear")),
+                 ConfigError, "scale_mode", id="unsupported_scale_mode"),
     pytest.param(_edit_index(lambda ix: ix.pop("params")),
                  FormatError, "parameter list", id="missing_params"),
     pytest.param(lambda ckpt: json.dump([], open(os.path.join(ckpt, "index.json"), "w")),
