@@ -18,9 +18,8 @@ from .errors import ShapeError
 
 def motion_guided_audio(audio: ad.Tensor, motion: ad.Tensor,
                         temporal_weight: ad.Tensor, use_temporal: bool = True,
-                        return_parts: bool = False, videos: int = 1):
-    """Gate (T, d_a) audio by the (T, d_a) motion feature (B*T rows for
-    `videos`=B; the temporal softmax runs within each video).
+                        return_parts: bool = False):
+    """Gate (T, d_a) audio by the (T, d_a) motion feature.
 
     With zero motion this collapses to a fixed scaling: uniform temporal
     weights contribute (1 + 1/T) and the sigmoid channel gate contributes 1.5.
@@ -28,8 +27,7 @@ def motion_guided_audio(audio: ad.Tensor, motion: ad.Tensor,
     if audio.shape != motion.shape:
         raise ShapeError(f"audio {audio.shape} and motion {motion.shape} must match")
     if use_temporal:
-        weights = ad.softmax(ad.matmul(motion, temporal_weight), axis=0,
-                             videos=videos)  # (T, 1)
+        weights = ad.softmax(ad.matmul(motion, temporal_weight), axis=0)  # (T, 1)
         boosted = ad.add(audio, ad.mul(weights, audio))
     else:
         weights = None

@@ -14,13 +14,12 @@ keeps a finished tape alive until the cyclic garbage collector runs.
 Storage precision is f32; an f64 tape exists for finite-difference gradient
 verification only.
 
-A tape can carry a mini-batch of B equal-length videos with B*T folded into
-the leading axis, which every per-row op (conv2d, matmul, the activations,
-avg_spatial) treats as independent rows. Only the ops that work along time
-take a `videos` count, so that softmax over time, the time pools, the time
-slices and concatenations, and the per-video attention product never mix
-two videos. With videos=1 each of them computes what it did for a single
-(T, ...) video.
+A tape is made for B equal-length videos (`Tape(videos=B)`, default 1),
+whose B*T rows share the leading axis. The ops that work along time read
+the count from the tape, so that softmax over time, the time pools, the time
+slices and concatenations, and the attention product never mix two videos;
+every other op works row by row. Code above the engine is written for one
+(T, ...) video and takes no video count.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import _is_int
 from .errors import ConfigError, ContractError, ShapeError
 
 MAX_RANK = 4
@@ -68,12 +68,15 @@ class Tensor:
 
 
 class Tape:
-    """Single-writer record of one forward pass."""
+    """Single-writer record of one forward pass over `videos` videos."""
 
-    def __init__(self, precision: str = "f32"):
+    def __init__(self, precision: str = "f32", videos: int = 1):
         if precision not in _DTYPES:
             raise ConfigError(f"precision must be one of {sorted(_DTYPES)}, got {precision!r}")
+        if not (_is_int(videos) and videos >= 1):
+            raise ConfigError(f"videos must be an int >= 1, got {videos!r}")
         self.precision = precision
+        self.videos = videos
         self.dtype = _DTYPES[precision]
         self._inputs: list[tuple[int, ...]] = []
         self._backwards: list[Callable | None] = []
@@ -205,17 +208,20 @@ def _by_video(shape: tuple[int, ...], videos: int) -> tuple[int, ...]:
     return (videos, shape[0] // videos) + tuple(shape[1:])
 
 
-def batched_matmul(a: Tensor, b: Tensor, videos: int, transpose_b: bool = False) -> Tensor:
-    """One product per video of two folded operands: (B*m, k) x (B*k, n), or
-    x (B*n, k) transposed when `transpose_b`, gives (B*m, n).
+def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """One product per video of two time-indexed operands: (B*m, k) x (B*k, n),
+    or x (B*n, k) transposed when `transpose_b`, gives (B*m, n).
 
     With one video this is `matmul(a, b)` (or `matmul(a, transpose(b))`).
     """
+    tape = _tape_of(a, b)
+    videos = tape.videos
     if videos == 1:
+        # a 3-D product takes another BLAS path, whose sums moved the golden
+        # forward's bits, so one video keeps the rank-2 product
         return matmul(a, transpose(b) if transpose_b else b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"batched_matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    tape = _tape_of(a, b)
     sa, sb = a.shape, b.shape
     A3, B3 = a.data.reshape(_by_video(sa, videos)), b.data.reshape(_by_video(sb, videos))
     Bm = B3.transpose(0, 2, 1) if transpose_b else B3
@@ -340,12 +346,12 @@ def _normalize_axis(axis: int, ndim: int) -> int:
     return axis % ndim
 
 
-def softmax(x: Tensor, axis: int, videos: int = 1) -> Tensor:
-    """Softmax along `axis`; along axis 0, within each of `videos` videos."""
+def softmax(x: Tensor, axis: int) -> Tensor:
+    """Softmax along `axis`; along axis 0, within each video of the tape."""
     axis = _normalize_axis(axis, x.ndim)
     X = x.data
     if axis == 0:
-        X, axis = X.reshape(_by_video(x.shape, videos)), 1
+        X, axis = X.reshape(_by_video(x.shape, x.tape.videos)), 1
     z = X - X.max(axis=axis, keepdims=True)  # shift-invariant, avoids overflow
     e = np.exp(z)
     s = e / e.sum(axis=axis, keepdims=True)
@@ -385,12 +391,12 @@ def avg_spatial(x: Tensor) -> Tensor:
     return x.tape._record(x.data.mean(axis=(1, 2)), (x.node_id,), backward)
 
 
-def max_time(x: Tensor, videos: int = 1) -> Tensor:
+def max_time(x: Tensor) -> Tensor:
     """(B*T, d) -> (B, d) max over each video's T rows; ties route the
     gradient to the lowest index."""
     if x.ndim != 2:
         raise ShapeError(f"max_time needs (T,d), got {x.shape}")
-    X = x.data.reshape(_by_video(x.shape, videos))
+    X = x.data.reshape(_by_video(x.shape, x.tape.videos))
     idx = X.argmax(axis=1)[:, None, :]  # first occurrence == lowest index
 
     def backward(g, shape=x.shape):
@@ -401,11 +407,11 @@ def max_time(x: Tensor, videos: int = 1) -> Tensor:
     return x.tape._record(np.take_along_axis(X, idx, axis=1)[:, 0], (x.node_id,), backward)
 
 
-def sum_time(x: Tensor, videos: int = 1) -> Tensor:
+def sum_time(x: Tensor) -> Tensor:
     """(B*T, d) -> (B, d) sum over each video's T rows."""
     if x.ndim != 2:
         raise ShapeError(f"sum_time needs (T,d), got {x.shape}")
-    X = x.data.reshape(_by_video(x.shape, videos))
+    X = x.data.reshape(_by_video(x.shape, x.tape.videos))
 
     def backward(g, rows=X.shape[1]):
         return (np.repeat(g, rows, axis=0),)
@@ -475,17 +481,17 @@ def scale(x: Tensor, c: float) -> Tensor:
     return x.tape._record(x.data * c, (x.node_id,), lambda g: (g * c,))
 
 
-def concat(x: Tensor, y: Tensor, axis: int, videos: int = 1) -> Tensor:
+def concat(x: Tensor, y: Tensor, axis: int) -> Tensor:
     """Concatenate along `axis`; along axis 0, video by video, so that each
-    of the `videos` videos of the result is x's rows of it, then y's."""
+    video of the result is x's rows of it, then y's."""
     axis = _normalize_axis(axis, x.ndim)
     if x.ndim != y.ndim:
         raise ShapeError(f"concat needs equal ranks, got {x.shape} and {y.shape}")
-    vx, vy = _by_video(x.shape, videos), _by_video(y.shape, videos)
+    tape = _tape_of(x, y)
+    vx, vy = _by_video(x.shape, tape.videos), _by_video(y.shape, tape.videos)
     if any(m != n for ax, (m, n) in enumerate(zip(vx, vy)) if ax != axis + 1):
         raise ShapeError(f"concat on axis {axis} needs matching other extents, "
                          f"got {x.shape} and {y.shape}")
-    tape = _tape_of(x, y)
     split = vx[axis + 1]
     out = np.concatenate([x.data.reshape(vx), y.data.reshape(vy)], axis=axis + 1)
 
@@ -515,13 +521,13 @@ def reshape(x: Tensor, shape) -> Tensor:
     return x.tape._record(x.data.reshape(shape), (x.node_id,), backward)
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int, videos: int = 1) -> Tensor:
-    """Rows [start:stop) along `axis`; along axis 0, of each of `videos` videos."""
+def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Rows [start:stop) along `axis`; along axis 0, of each video of the tape."""
     axis = _normalize_axis(axis, x.ndim)
-    view = _by_video(x.shape, videos)
+    view = _by_video(x.shape, x.tape.videos)
     if not 0 <= start < stop <= view[axis + 1]:
         raise ShapeError(f"slice [{start}:{stop}] is invalid for axis {axis} of {x.shape}"
-                         f" over {videos} video(s)")
+                         f" over {x.tape.videos} video(s)")
     sl = [slice(None)] * len(view)
     sl[axis + 1] = slice(start, stop)
     sl = tuple(sl)

@@ -48,14 +48,12 @@ class Prediction:
 # forward heads
 
 
-def class_distribution(fused: ad.Tensor, p: Mapping[str, ad.Tensor],
-                       videos: int = 1) -> ad.Tensor:
-    """Max-pool (T, 2*d_m) over time, project, softmax -> (1, n_out); one
-    row per video for B*T rows of `videos`=B.
+def class_distribution(fused: ad.Tensor, p: Mapping[str, ad.Tensor]) -> ad.Tensor:
+    """Max-pool (T, 2*d_m) over time, project, softmax -> (1, n_out).
 
     `p` (here and below) is the head group of the model's parameter table.
     """
-    pooled = ad.max_time(fused, videos)
+    pooled = ad.max_time(fused)
     logits = ad.add(ad.matmul(pooled, p["class_weight"]), p["class_bias"])
     return ad.softmax(logits, axis=1)
 
@@ -93,8 +91,11 @@ def decode_weak(segment_logits: np.ndarray) -> np.ndarray:
 
 
 def _one_hot(tape: ad.Tape, video_class: int | Sequence[int], width: int) -> ad.Tensor:
-    """One (1, width) one-hot row per video class."""
+    """One (1, width) one-hot row per video class, one class per video of
+    the tape."""
     classes = [int(c) for c in np.atleast_1d(video_class)]
+    if len(classes) != tape.videos:
+        raise ShapeError(f"{len(classes)} video classes for a tape of {tape.videos} video(s)")
     for index in classes:
         if not 0 <= index < width:
             raise LabelError(f"class index {index} outside [0, {width})")
@@ -111,17 +112,13 @@ def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
     Class term: cross entropy of the (1, C) distribution against the one-hot
     video class. Event term: binary cross entropy of the (T, 1) relevance
     scores against 0/1 segment relevance, averaged over T so the two terms
-    stay comparable whatever T is. Logs are clamped at 1e-12.
-
-    A mini-batch of B videos gives (B, C) distributions, (B*T, 1) scores, B
-    classes and B*T relevance labels; each term is then the mean of the
-    videos' terms.
+    stay comparable whatever T is. Logs are clamped at 1e-12. `video_class`
+    holds one class per video of the tape, and each term is the mean over
+    the videos.
     """
     tape = class_probs.tape
     videos, rows = class_probs.shape[0], event_scores.shape[0]
     onehot = _one_hot(tape, video_class, class_probs.shape[1])
-    if onehot.shape[0] != videos:
-        raise ShapeError(f"{onehot.shape[0]} video classes for {videos} class distributions")
     class_term = ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(class_probs, LOG_FLOOR))),
                           -1.0 / videos)
 
@@ -149,14 +146,13 @@ def weak_aggregate_loss(segment_logits: ad.Tensor,
     """Sum (T, C+1) logits over time, softmax, cross entropy at video level.
 
     Only the video class supervises this path; per-segment relevance is never
-    consumed. With B classes the logits are B videos' (B*T, C+1) rows and the
+    consumed. `video_class` holds one class per video of the tape, and the
     loss is the mean over the videos.
     """
     if segment_logits.ndim != 2:
         raise ShapeError(f"segment logits must be (T, n_out), got {segment_logits.shape}")
-    videos = np.size(video_class)
-    video_logits = ad.sum_time(segment_logits, videos)          # (1, C+1)
+    video_logits = ad.sum_time(segment_logits)                  # (1, C+1)
     probs = ad.softmax(video_logits, axis=1)
     onehot = _one_hot(segment_logits.tape, video_class, probs.shape[1])
     return ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(probs, LOG_FLOOR))),
-                    -1.0 / videos)
+                    -1.0 / probs.shape[0])

@@ -6,9 +6,6 @@ visual stream, bidirectional cross-modal relation attention, interaction
 fusion, then the classification heads. Config toggles swap whole stages for
 constants (zero motion, zero past motion, no temporal gate) without touching
 anything downstream, which is what the ablation runner exploits.
-
-Training runs a mini-batch of B videos as one forward on one tape, with B*T
-rows in the leading axis (see autodiff); a single video is the case B=1.
 """
 
 from __future__ import annotations
@@ -207,8 +204,8 @@ def _group(leaves: Mapping[str, ad.Tensor], prefix: str) -> dict[str, ad.Tensor]
 
 @dataclass
 class ForwardPass:
-    """Tape outputs of one video, or of B videos with B*T rows (B rows for
-    class_probs), plus the leaf tensors for backward."""
+    """Tape outputs of the forward, plus the leaf tensors for backward; a
+    tape of B videos gives B*T rows (B rows for class_probs)."""
 
     leaves: dict[str, ad.Tensor]
     fused: ad.Tensor                  # (T, 2*d_m)
@@ -223,30 +220,27 @@ class ForwardPass:
 
 def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
                 visual: np.ndarray, cfg: ModelConfig) -> ForwardPass:
-    """Forward one video, (T, d_a) audio and (T, h, w, d_v) visual, or a
-    mini-batch of B videos stacked as (B, T, d_a) and (B, T, h, w, d_v).
-    Read-only f32 features go on the tape without a copy, like the params."""
+    """Forward the tape's B videos, given as (B*T, d_a) audio and
+    (B*T, h, w, d_v) visual with each video's T rows in turn; one video is
+    (T, d_a) and (T, h, w, d_v). Read-only f32 features go on the tape
+    without a copy, like the params."""
     cfg.validate()
     d = cfg.dims
-    audio_shape, visual_shape = d.shapes()
-    stack = audio.shape[:1] if audio.ndim == 3 else ()  # (B,) for a mini-batch
-    videos = stack[0] if stack else 1
-    if (audio.shape, visual.shape) != (stack + audio_shape, stack + visual_shape):
+    rows = tape.videos * d.T
+    want = tuple((rows,) + shape[1:] for shape in d.shapes())
+    if (audio.shape, visual.shape) != want:
         raise ShapeError(f"features {audio.shape}/{visual.shape} do not match "
-                         f"the config's {d.shapes()}")
-    rows = videos * d.T
+                         f"{tape.videos} video(s) of the config's {d.shapes()}")
     leaves = {name: tape.param(arr) for name, arr in params.items()}
-    audio_in = tape.param(audio.reshape(rows, d.d_a))
-    visual_in = tape.param(visual.reshape((rows,) + visual_shape[1:]))
+    audio_in, visual_in = tape.param(audio), tape.param(visual)
     stages: dict[str, ad.Tensor] = {}
 
-    motion_feat = motion.motion_feature(visual_in, _group(leaves, "motion"), cfg.motion,
-                                        videos)
+    motion_feat = motion.motion_feature(visual_in, _group(leaves, "motion"), cfg.motion)
     stages["motion.feature"] = motion_feat
 
     audio_gated = attention.motion_guided_audio(
         audio_in, motion_feat, leaves["audio_gate.temporal_weight"],
-        use_temporal=cfg.temporal_attention, videos=videos)
+        use_temporal=cfg.temporal_attention)
     stages["audio_attention"] = audio_gated
 
     gate_leaves = _group(leaves, "visual_gate")
@@ -258,16 +252,16 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
     audio_rel, visual_rel = fusion.relation_aware(
         audio_gated, visual_static,
         leaves["streams.audio"], leaves["streams.visual"],
-        _group(leaves, "audio_branch"), _group(leaves, "visual_branch"), videos)
+        _group(leaves, "audio_branch"), _group(leaves, "visual_branch"))
     stages["relation.audio"] = audio_rel
     stages["relation.visual"] = visual_rel
 
     fused = fusion.interact(audio_rel, visual_rel, leaves["streams.fused"],
-                            _group(leaves, "interaction"), videos)
+                            _group(leaves, "interaction"))
     stages["interaction"] = fused
 
     head_leaves = _group(leaves, "head")
-    class_probs = heads.class_distribution(fused, head_leaves, videos)
+    class_probs = heads.class_distribution(fused, head_leaves)
     event_scores = heads.event_relevance(fused, head_leaves)
     segment_logits = heads.per_segment_logits(fused, head_leaves) \
         if cfg.mode == "weak" else None

@@ -2,8 +2,8 @@
 
 Training is bitwise reproducible for a fixed (seed, config, dataset):
 shuffling is keyed by (seed, epoch), and every mini-batch is one forward and
-one backward on its own tape, with its videos stacked in shuffled order, so
-every reduction over the batch runs in a fixed order.
+one backward on its own tape of B videos, their rows concatenated in
+shuffled order, so every reduction over the batch runs in a fixed order.
 """
 
 from __future__ import annotations
@@ -103,11 +103,11 @@ def _batch_loss(params: ModelParams, cfg: ModelConfig, bundles: list[FeatureBund
                 labels: list[LabelRecord]
                 ) -> tuple[float, dict[str, np.ndarray], ForwardPass]:
     """Mean loss of the videos and its gradient, from one forward and one
-    backward over the stacked batch. The stacks are frozen, so the tape
-    takes them without a second copy."""
-    tape = ad.Tape()
-    fwd = run_forward(tape, params, _freeze(np.stack([b.audio for b in bundles])),
-                      _freeze(np.stack([b.visual for b in bundles])), cfg)
+    backward on a tape of the batch's videos. Their concatenated features
+    are frozen, so the tape takes them without a second copy."""
+    tape = ad.Tape(videos=len(bundles))
+    fwd = run_forward(tape, params, _freeze(np.concatenate([b.audio for b in bundles])),
+                      _freeze(np.concatenate([b.visual for b in bundles])), cfg)
     classes = [label.video_class for label in labels]
     if cfg.mode == "weak":
         loss = heads.weak_aggregate_loss(fwd.segment_logits, classes)

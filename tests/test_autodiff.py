@@ -444,9 +444,21 @@ def test_unknown_precision_is_config_error():
         ad.Tape("f16")
 
 
+@pytest.mark.parametrize("videos", [0, 1.5, True])
+def test_video_count_must_be_an_int_of_at_least_one(videos):
+    with pytest.raises(ConfigError, match="videos"):
+        ad.Tape(videos=videos)
+
+
 # ---------------------------------------------------------------------------
 # finite differences on every op (the gradcheck suite is also run by
 # test_acceptance; here a spot check keeps this module self-contained)
+
+
+def _over_videos(videos, op):
+    """Tag a spot-check op with the video count of the tape it runs on."""
+    op.videos = videos
+    return op
 
 
 @pytest.mark.parametrize("shape_x,shape_y,op", [
@@ -456,16 +468,17 @@ def test_unknown_precision_is_config_error():
     ((3, 1), (3, 4), ad.mul),
     ((2, 3), (4, 3), lambda a, b: ad.concat(a, b, 0)),
     ((2, 3, 3, 2), (3, 3, 2, 2), ad.conv2d),
-    ((3 * 2, 4), (3 * 5, 4), lambda a, b: ad.batched_matmul(a, b, 3, transpose_b=True)),
-    ((2 * 3, 5), (2 * 5, 4), lambda a, b: ad.batched_matmul(a, b, 2)),
-    ((2 * 3, 4), (2 * 1, 4), lambda a, b: ad.concat(a, b, 0, 2)),
+    ((3 * 2, 4), (3 * 5, 4),
+     _over_videos(3, lambda a, b: ad.batched_matmul(a, b, transpose_b=True))),
+    ((2 * 3, 5), (2 * 5, 4), _over_videos(2, lambda a, b: ad.batched_matmul(a, b))),
+    ((2 * 3, 4), (2 * 1, 4), _over_videos(2, lambda a, b: ad.concat(a, b, 0))),
 ])
 def test_binary_op_gradients_match_finite_differences(shape_x, shape_y, op):
     rng = np.random.default_rng(13)
     x, y = rng.normal(size=shape_x), rng.normal(size=shape_y)
 
     def build(arrs):
-        tape = ad.Tape("f64")
+        tape = ad.Tape("f64", videos=getattr(op, "videos", 1))
         tx, ty = tape.leaf(arrs[0]), tape.leaf(arrs[1])
         out = op(tx, ty)
         mix = tape.leaf(np.arange(out.data.size).reshape(out.shape) * 0.1 + 0.3)
@@ -539,7 +552,7 @@ def test_time_ops_over_videos_match_a_loop_over_videos(videos):
     T, d = 4, 3
     x = rng.normal(size=(videos * T, d))
     y = rng.normal(size=(videos * 2, d))
-    t = ad.Tape("f64")
+    t = ad.Tape("f64", videos=videos)
     tx, ty = t.leaf(x), t.leaf(y)
 
     def single(op, *arrays):
@@ -547,13 +560,13 @@ def test_time_ops_over_videos_match_a_loop_over_videos(videos):
         return op(*(tape.leaf(a) for a in arrays)).data
 
     cases = [
-        (ad.softmax(tx, 0, videos), _per_video(lambda p: single(lambda a: ad.softmax(a, 0), p),
-                                               x, videos)),
-        (ad.max_time(tx, videos), _per_video(lambda p: single(ad.max_time, p), x, videos)),
-        (ad.sum_time(tx, videos), _per_video(lambda p: single(ad.sum_time, p), x, videos)),
-        (ad.slice_axis(tx, 0, 1, T, videos),
+        (ad.softmax(tx, 0), _per_video(lambda p: single(lambda a: ad.softmax(a, 0), p),
+                                       x, videos)),
+        (ad.max_time(tx), _per_video(lambda p: single(ad.max_time, p), x, videos)),
+        (ad.sum_time(tx), _per_video(lambda p: single(ad.sum_time, p), x, videos)),
+        (ad.slice_axis(tx, 0, 1, T),
          _per_video(lambda p: single(lambda a: ad.slice_axis(a, 0, 1, T), p), x, videos)),
-        (ad.concat(tx, ty, 0, videos),
+        (ad.concat(tx, ty, 0),
          np.concatenate([single(lambda a, b: ad.concat(a, b, 0), p, q)
                          for p, q in zip(np.split(x, videos), np.split(y, videos))])),
     ]
@@ -565,15 +578,16 @@ def test_batched_matmul_multiplies_each_video_by_its_own_block():
     rng = np.random.default_rng(22)
     a = rng.normal(size=(3 * 2, 4))
     b = rng.normal(size=(3 * 5, 4))
-    t = ad.Tape("f64")
-    out = ad.batched_matmul(t.leaf(a), t.leaf(b), 3, transpose_b=True)
+    t = ad.Tape("f64", videos=3)
+    out = ad.batched_matmul(t.leaf(a), t.leaf(b), transpose_b=True)
     want = np.concatenate([p @ q.T for p, q in zip(np.split(a, 3), np.split(b, 3))])
     assert out.shape == (6, 5)
     npt.assert_allclose(out.data, want, rtol=0, atol=1e-12)
     with pytest.raises(ShapeError):
-        ad.batched_matmul(t.leaf(a), t.leaf(b), 3)  # (2, 4) x (5, 4) per video
+        ad.batched_matmul(t.leaf(a), t.leaf(b))  # (2, 4) x (5, 4) per video
+    t4 = ad.Tape("f64", videos=4)
     with pytest.raises(ShapeError):
-        ad.batched_matmul(t.leaf(a), t.leaf(b), 4, transpose_b=True)  # 6 rows, 4 videos
+        ad.batched_matmul(t4.leaf(a), t4.leaf(b), transpose_b=True)  # 6 rows, 4 videos
 
 
 def test_batched_matmul_of_one_video_is_matmul():
@@ -581,21 +595,21 @@ def test_batched_matmul_of_one_video_is_matmul():
     a, b = rng.normal(size=(3, 4)).astype(np.float32), rng.normal(size=(5, 4)).astype(np.float32)
     t = ad.Tape()
     ta, tb = t.leaf(a), t.leaf(b)
-    out = ad.batched_matmul(ta, tb, 1, transpose_b=True)
+    out = ad.batched_matmul(ta, tb, transpose_b=True)
     assert out.data.tobytes() == ad.matmul(ta, ad.transpose(tb)).data.tobytes()
 
 
-@pytest.mark.parametrize("op", [
-    lambda x: ad.softmax(x, 0, 3), lambda x: ad.softmax(x, 1, 3),
-    lambda x: ad.max_time(x, 3), lambda x: ad.sum_time(x, 2),
-    lambda x: ad.slice_axis(x, 0, 0, 1, 3),
+@pytest.mark.parametrize("videos,op", [
+    (3, lambda x: ad.softmax(x, 0)), (3, lambda x: ad.softmax(x, 1)),
+    (3, ad.max_time), (2, ad.sum_time),
+    (3, lambda x: ad.slice_axis(x, 0, 0, 1)),
 ], ids=["softmax_time", "softmax_rows", "max_time", "sum_time", "slice_axis"])
-def test_time_op_gradients_over_videos_match_finite_differences(op):
+def test_time_op_gradients_over_videos_match_finite_differences(videos, op):
     rng = np.random.default_rng(24)
     x = rng.normal(size=(6, 4))
 
     def build(arrs):
-        tape = ad.Tape("f64")
+        tape = ad.Tape("f64", videos=videos)
         tx = tape.leaf(arrs[0])
         out = op(tx)
         mix = tape.leaf(np.arange(out.data.size).reshape(out.shape) * 0.1 + 0.3)

@@ -6,7 +6,7 @@ import pytest
 
 from avloc import autodiff as ad
 from avloc import heads
-from avloc.errors import LabelError
+from avloc.errors import LabelError, ShapeError
 from avloc.gradcheck import check_gradients
 
 T, WIDTH, C = 6, 8, 4
@@ -177,6 +177,23 @@ def test_weak_label_out_of_range_is_label_error():
     t = ad.Tape()
     with pytest.raises(LabelError):
         heads.weak_aggregate_loss(t.leaf(np.zeros((T, C + 1))), C + 1)
+
+
+@pytest.mark.parametrize("n_classes", [1, 4])
+@pytest.mark.parametrize("mode", ["supervised", "weak"])
+def test_one_video_class_per_video_of_the_tape(mode, n_classes):
+    # 4 classes divide the 2*T rows of a 2-video tape, so the count cannot
+    # be read off the rows
+    rng = np.random.default_rng(9)
+    t = ad.Tape("f64", videos=2)
+    classes = list(range(n_classes))
+    with pytest.raises(ShapeError, match="2 video"):
+        if mode == "weak":
+            heads.weak_aggregate_loss(t.leaf(rng.normal(size=(2 * T, C + 1))), classes)
+        else:
+            heads.supervised_loss(t.leaf(np.full((2, C), 1.0 / C)),
+                                  t.leaf(np.full((2 * T, 1), 0.5)), classes,
+                                  np.zeros(2 * T, dtype=int))
 
 
 def test_weak_decode_uses_per_segment_argmax():

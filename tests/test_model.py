@@ -160,6 +160,9 @@ def test_feature_dims_must_match_config():
     with pytest.raises(ShapeError):
         run_forward(ad.Tape(), params, np.zeros((10, 16), dtype=np.float32),
                     np.zeros((10, 3, 3, 64), dtype=np.float32), cfg)
+    one_video = default_bundle(8, cfg)
+    with pytest.raises(ShapeError, match="2 video"):
+        run_forward(ad.Tape(videos=2), params, one_video.audio, one_video.visual, cfg)
 
 
 def test_forward_replays_the_frozen_golden_prediction():
@@ -225,8 +228,9 @@ def _batch(cfg, videos, seed=30):
 
 
 def _f64_loss(params, cfg, audio, visual, classes, relevance):
-    """Forward, loss and parameter gradients on an f64 tape."""
-    tape = ad.Tape("f64")
+    """Forward, loss and parameter gradients on an f64 tape of the videos
+    whose rows `audio` holds."""
+    tape = ad.Tape("f64", videos=audio.shape[0] // cfg.dims.T)
     fwd = run_forward(tape, params, audio, visual, cfg)
     if cfg.mode == "weak":
         loss = heads.weak_aggregate_loss(fwd.segment_logits, classes)
@@ -244,8 +248,8 @@ def test_batched_forward_and_mean_gradient_match_per_video_in_f64(
     cfg = ModelConfig(mode=mode, motion=motion_mode, temporal_attention=temporal)
     params = init_params(cfg, seed=9)
     bundles, classes, relevance = _batch(cfg, videos)
-    fwd, loss, grads = _f64_loss(params, cfg, np.stack([b.audio for b in bundles]),
-                                 np.stack([b.visual for b in bundles]), classes,
+    fwd, loss, grads = _f64_loss(params, cfg, np.concatenate([b.audio for b in bundles]),
+                                 np.concatenate([b.visual for b in bundles]), classes,
                                  relevance.reshape(-1))
     T = cfg.dims.T
     assert fwd.class_probs.shape == (videos, cfg.n_class_outputs)
@@ -272,13 +276,13 @@ def test_perturbing_one_video_leaves_the_others_in_the_batch_unchanged():
     cfg = ModelConfig()
     params = init_params(cfg, seed=10)
     bundles, _, _ = _batch(cfg, 3)
-    audio = np.stack([b.audio for b in bundles])
-    visual = np.stack([b.visual for b in bundles])
-    before = run_forward(ad.Tape(), params, audio, visual, cfg)
-    audio[1] += 1.0
-    visual[1] *= -2.0
-    after = run_forward(ad.Tape(), params, audio, visual, cfg)
+    audio = np.concatenate([b.audio for b in bundles])
+    visual = np.concatenate([b.visual for b in bundles])
+    before = run_forward(ad.Tape(videos=3), params, audio, visual, cfg)
     T = cfg.dims.T
+    audio[T:2 * T] += 1.0
+    visual[T:2 * T] *= -2.0
+    after = run_forward(ad.Tape(videos=3), params, audio, visual, cfg)
     for i in (0, 2):
         rows = slice(i * T, (i + 1) * T)
         npt.assert_array_equal(after.class_probs.data[i], before.class_probs.data[i])
@@ -291,10 +295,10 @@ def test_every_video_of_a_batch_has_exact_zero_boundary_motion():
     from avloc import motion
     videos, T, h, w, c = 4, 5, 2, 3, 6
     rng = np.random.default_rng(11)
-    tape = ad.Tape()
+    tape = ad.Tape(videos=videos)
     aligned = tape.leaf(rng.normal(size=(videos * T, h, w, c)))
     past_kernel, future_kernel = (tape.leaf(rng.normal(size=(3, 3, c, c))) for _ in range(2))
-    past, future = motion.past_future_motion(aligned, past_kernel, future_kernel, videos)
+    past, future = motion.past_future_motion(aligned, past_kernel, future_kernel)
     past = past.data.reshape(videos, T, h, w, c)
     future = future.data.reshape(videos, T, h, w, c)
     assert np.all(past[:, 0] == 0.0) and np.all(future[:, T - 1] == 0.0)

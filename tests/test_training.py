@@ -146,8 +146,8 @@ def test_finished_tapes_are_freed_without_the_cycle_collector(tiny_dataset, monk
     tapes = []
 
     class RecordingTape(ad.Tape):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             tapes.append(weakref.ref(self))
 
     monkeypatch.setattr(ad, "Tape", RecordingTape)
@@ -164,7 +164,7 @@ def test_finished_tapes_are_freed_without_the_cycle_collector(tiny_dataset, monk
 
 
 def test_batch_step_tapes_its_stacked_inputs_without_a_copy(tiny_dataset, monkeypatch):
-    """The stacked batch is the tape's input node; a caller's writable
+    """The concatenated batch is the tape's input node; a caller's writable
     features (as in predict) are still copied."""
     import avloc.training as training
     from avloc import attention, motion
@@ -194,7 +194,7 @@ def test_batch_step_tapes_its_stacked_inputs_without_a_copy(tiny_dataset, monkey
     spy(attention, "motion_guided_audio", taped, "audio")
     _batch_loss(params, cfg, batch, [e.label for e in entries])
     for key in ("audio", "visual"):
-        assert given[key].shape[0] == 3
+        assert given[key].shape[0] == 3 * cfg.dims.T
         assert np.shares_memory(taped[key], given[key]), key
 
     predict(params, cfg, batch[0])
