@@ -244,24 +244,49 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
                         selective=True)
 
 
-def _tap_sum(product, k: int, shape: tuple[int, ...], dtype, flip: bool) -> np.ndarray:
-    """Sum product(di, dj) over the k x k taps in (di, dj) order.
+def _zero_edges(a: np.ndarray, oi: int, oj: int) -> None:
+    """Zero in place the (t, i, j) rows of the (T, h, w, c) array `a` whose
+    neighbour (i + oi, j + oj) lies outside the h x w frame."""
+    _, h, w, _ = a.shape
+    if oi:
+        a[:, slice(max(h - oi, 0), h) if oi > 0 else slice(0, -oi)] = 0
+    if oj:
+        a[:, :, slice(max(w - oj, 0), w) if oj > 0 else slice(0, -oj)] = 0
 
-    Each product is (T, h, w, c) up to its row blocking. It is added into a
-    grid with a k // 2 zero border at offset (di, dj), or at (2p - di, 2p - dj)
-    when `flip`; the interior is the result. What lands in the border lies
-    outside the (h, w) grid, where the zero padding is, and is dropped.
+
+def _row_shift(n: int, s: int) -> tuple[slice, slice]:
+    """(to, frm) slices of n rows such that to[r] pairs with frm[r + s]; a
+    shift of all the rows or more pairs none."""
+    s = max(-n, min(s, n))
+    return (slice(0, n - s), slice(s, n)) if s >= 0 else (slice(-s, n), slice(0, n + s))
+
+
+def _tap_sum(product, k: int, shape: tuple[int, ...], dtype, sign: int) -> np.ndarray:
+    """Sum product(di, dj) over the k x k taps in (di, dj) order, where
+    output (t, i, j) takes the product's row (t, i + sign*(di - k//2),
+    j + sign*(dj - k//2)) if it lies in the frame, and nothing otherwise.
+
+    Each product is a fresh (T, h, w, c) array up to its row blocking. On
+    the flattened T*h*w rows a tap is one contiguous add of its product
+    shifted by whole rows, after the product's rows whose target would cross
+    a frame edge are zeroed in place. The output starts at +0.0 and so never
+    holds -0.0, where adding +0.0 would change bits, so each output sums the
+    same values in the same order as adding every product into a
+    zero-bordered grid.
     """
     if k == 1:
         return product(0, 0).reshape(shape)
     T, h, w, c = shape
     pad = k // 2
-    grid = np.zeros((T, h + 2 * pad, w + 2 * pad, c), dtype=dtype)
+    out = np.zeros((T * h * w, c), dtype=dtype)
     for di in range(k):
         for dj in range(k):
-            oi, oj = (2 * pad - di, 2 * pad - dj) if flip else (di, dj)
-            grid[:, oi:oi + h, oj:oj + w] += product(di, dj).reshape(shape)
-    return grid[:, pad:pad + h, pad:pad + w]
+            oi, oj = sign * (di - pad), sign * (dj - pad)
+            p = product(di, dj).reshape(shape)
+            _zero_edges(p, -oi, -oj)
+            to, frm = _row_shift(len(out), oi * w + oj)
+            out[to] += p.reshape(-1, c)[frm]
+    return out.reshape(shape)
 
 
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -292,25 +317,37 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     # with one output channel numpy takes GEMV, whose sums depend on the row
     # count, so those products keep w-row blocks (the rows of one window)
     rows = X.reshape((T * h, w, c_in) if c_out == 1 else (T * h * w, c_in))
-    out = _tap_sum(lambda di, dj: rows @ K[di, dj], k, (T, h, w, c_out), X.dtype, flip=True)
+    out = _tap_sum(lambda di, dj: rows @ K[di, dj], k, (T, h, w, c_out), X.dtype, sign=1)
 
     def backward(g, needed):
         g_rows = g.reshape(-1, c_out)
+
+        def one_channel(di, dj):
+            # a K=1 GEMM is one multiply per value: a broadcast gives the same
+            # values, and adding +0.0 turns its -0.0s into the GEMM's +0.0s
+            p = g_rows * K[di, dj, :, 0]
+            p += 0.0
+            return p
+
         gx = gk = None
         if needed[0]:
-            gx = _tap_sum(lambda di, dj: g_rows @ K[di, dj].T, k, X.shape, X.dtype,
-                          flip=False)
+            gx = _tap_sum(one_channel if c_out == 1 else lambda di, dj: g_rows @ K[di, dj].T,
+                          k, X.shape, X.dtype, sign=-1)
         if needed[1]:
             pad = k // 2
-            Xp = X
-            if pad:
-                Xp = np.zeros((T, h + 2 * pad, w + 2 * pad, c_in), dtype=X.dtype)
-                Xp[:, pad:pad + h, pad:pad + w] = X
+            x_rows = X.reshape(-1, c_in)
             gk = np.empty_like(K)
             for di in range(k):
                 for dj in range(k):
                     # the input under tap (di, dj), one row per output position
-                    window = Xp[:, di:di + h, dj:dj + w].reshape(-1, c_in)
+                    oi, oj = di - pad, dj - pad
+                    window = x_rows
+                    if oi or oj:
+                        window = np.empty_like(x_rows)
+                        to, frm = _row_shift(len(x_rows), oi * w + oj)
+                        window[to] = x_rows[frm]
+                        # the rows the shift leaves unwritten are among these
+                        _zero_edges(window.reshape(X.shape), oi, oj)
                     gk[di, dj] = window.T @ g_rows
         return gx, gk
 

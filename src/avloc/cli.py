@@ -64,6 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--seeds" in argv[:-1]:  # argparse reads a separate value like -1,2 as an option
+        i = argv.index("--seeds")
+        argv[i:i + 2] = [f"--seeds={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)

@@ -90,18 +90,20 @@ def decode_weak(segment_logits: np.ndarray) -> np.ndarray:
 # losses
 
 
-def _one_hot(tape: ad.Tape, video_class: int | Sequence[int], width: int) -> ad.Tensor:
-    """One (1, width) one-hot row per video class, one class per video of
-    the tape."""
-    classes = [int(c) for c in np.atleast_1d(video_class)]
-    if len(classes) != tape.videos:
-        raise ShapeError(f"{len(classes)} video classes for a tape of {tape.videos} video(s)")
-    for index in classes:
-        if not 0 <= index < width:
-            raise LabelError(f"class index {index} outside [0, {width})")
-    onehot = np.zeros((len(classes), width))
-    onehot[np.arange(len(classes)), classes] = 1.0
-    return tape.leaf(onehot)
+def _one_hot(tape: ad.Tape, video_class: int | Sequence[int], classes: int,
+             width: int) -> ad.Tensor:
+    """One (1, width) one-hot row per video class in [0, classes], one class
+    per video of the tape. The background class `classes` has a column only
+    when the width includes it, and a zero row otherwise."""
+    indices = [int(c) for c in np.atleast_1d(video_class)]
+    if len(indices) != tape.videos:
+        raise ShapeError(f"{len(indices)} video classes for a tape of {tape.videos} video(s)")
+    for index in indices:
+        if not 0 <= index <= classes:
+            raise LabelError(f"class index {index} outside [0, {classes}]")
+    onehot = np.zeros((len(indices), classes + 1))
+    onehot[np.arange(len(indices)), indices] = 1.0
+    return tape.leaf(onehot[:, :width])
 
 
 def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
@@ -114,11 +116,12 @@ def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
     scores against 0/1 segment relevance, averaged over T so the two terms
     stay comparable whatever T is. Logs are clamped at 1e-12. `video_class`
     holds one class per video of the tape, and each term is the mean over
-    the videos.
+    the videos. A background-only video (class C) adds nothing to the class
+    term's sum, which is still divided by the count of all the videos.
     """
     tape = class_probs.tape
-    videos, rows = class_probs.shape[0], event_scores.shape[0]
-    onehot = _one_hot(tape, video_class, class_probs.shape[1])
+    (videos, classes), rows = class_probs.shape, event_scores.shape[0]
+    onehot = _one_hot(tape, video_class, classes, classes)
     class_term = ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(class_probs, LOG_FLOOR))),
                           -1.0 / videos)
 
@@ -153,6 +156,6 @@ def weak_aggregate_loss(segment_logits: ad.Tensor,
         raise ShapeError(f"segment logits must be (T, n_out), got {segment_logits.shape}")
     video_logits = ad.sum_time(segment_logits)                  # (1, C+1)
     probs = ad.softmax(video_logits, axis=1)
-    onehot = _one_hot(segment_logits.tape, video_class, probs.shape[1])
+    onehot = _one_hot(segment_logits.tape, video_class, probs.shape[1] - 1, probs.shape[1])
     return ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(probs, LOG_FLOOR))),
                     -1.0 / probs.shape[0])

@@ -82,16 +82,27 @@ class Adam:
         self.v = {n: np.zeros_like(a) for n, a in params.items()}
 
     def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
+        """The textbook f32 update, each of its operations in its order, with
+        the moments updated in place; each parameter gets a new array."""
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - ADAM_BETA1 ** t
         bias2 = 1.0 - ADAM_BETA2 ** t
         for name, current in params.items():
-            g = grads[name].astype(np.float32)
-            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-            update = (self.lr * (m / bias1)
-                      / (np.sqrt(v / bias2) + np.float32(ADAM_EPSILON)))
+            g = np.asarray(grads[name], dtype=np.float32)
+            m, v = self.m[name], self.v[name]
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            scratch = (1 - ADAM_BETA2) * g
+            scratch *= g
+            v += scratch
+            denominator = np.divide(v, bias2, out=scratch)
+            np.sqrt(denominator, out=denominator)
+            denominator += np.float32(ADAM_EPSILON)
+            update = m / bias1
+            update *= self.lr
+            update /= denominator
             params.set_array(name, current - update)
 
 

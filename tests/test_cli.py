@@ -106,8 +106,10 @@ def test_ablate_writes_json_and_csv(dataset, workspace, monkeypatch):
     (["synth", "--seed", "-1"], "seed"),
     (["train", "--seed", "-1"], "seed"),
     (["ablate", "--seeds=-1,2"], "seed"),
+    (["ablate", "--seeds", "-1,2"], "seed must be an int >= 0, got -1"),
 ], ids=["zero_snr", "negative_snr", "negative_videos", "unparsable_seeds",
-        "negative_synth_seed", "negative_train_seed", "negative_ablate_seed"])
+        "negative_synth_seed", "negative_train_seed", "negative_ablate_seed",
+        "negative_ablate_seed_separate_value"])
 def test_bad_cli_input_is_a_typed_error(dataset, workspace, capsys, command,
                                         message):
     out = os.path.join(workspace, "bad_input")

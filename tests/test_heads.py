@@ -139,8 +139,24 @@ def test_class_index_out_of_range_is_label_error():
     t = ad.Tape()
     probs = t.leaf(np.full((1, C), 1.0 / C))
     scores = t.leaf(np.full((T, 1), 0.5))
-    with pytest.raises(LabelError):
-        heads.supervised_loss(probs, scores, C, np.zeros(T, dtype=int))
+    for index in (-1, C + 1):
+        with pytest.raises(LabelError):
+            heads.supervised_loss(probs, scores, index, np.zeros(T, dtype=int))
+
+
+def test_background_video_has_no_class_term_and_its_full_event_term():
+    rng = np.random.default_rng(7)
+    relevance = np.zeros(2 * T, dtype=int)
+    relevance[:3] = 1
+    t = ad.Tape(videos=2)
+    probs = t.leaf(rng.dirichlet(np.ones(C), size=2))
+    scores = t.leaf(rng.uniform(0.1, 0.9, size=(2 * T, 1)))
+    _, class_term, event_term = heads.supervised_loss_terms(probs, scores, [1, C], relevance)
+    # the class term's sum holds the event video alone, over both videos
+    npt.assert_allclose(class_term.item(), -np.log(probs.data[0, 1]) / 2, rtol=1e-6)
+    p, y = scores.data[:, 0].astype(float), relevance
+    bce = -(y * np.log(p) + (1 - y) * np.log(1 - p)).sum() / (2 * T)
+    npt.assert_allclose(event_term.item(), bce, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

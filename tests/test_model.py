@@ -7,6 +7,8 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avloc import autodiff as ad
 from avloc import heads
@@ -213,6 +215,68 @@ def test_golden_forward_convs_match_the_per_row_block_computation(monkeypatch):
          (1, 1, 64, 64), (1, 1, 64, 64), (1, 1, 64, 1)])
     for X, K, out in seen:
         assert out.tobytes() == _per_row_block_conv(X, K).tobytes(), K.shape
+
+
+def _padded_grid_input_grad(g, K, h, w):
+    """conv2d's input gradient as every tap's product added into a grid
+    with a k // 2 zero border at offset (di, dj); the interior is the result."""
+    T, c_out = g.shape[0], K.shape[3]
+    k = K.shape[0]
+    pad = k // 2
+    g_rows = g.reshape(-1, c_out)
+    if k == 1:
+        return (g_rows @ K[0, 0].T).reshape(T, h, w, -1)
+    grid = np.zeros((T, h + 2 * pad, w + 2 * pad, K.shape[2]), dtype=g.dtype)
+    for di in range(k):
+        for dj in range(k):
+            grid[:, di:di + h, dj:dj + w] += (g_rows @ K[di, dj].T).reshape(T, h, w, -1)
+    return grid[:, pad:pad + h, pad:pad + w]
+
+
+def _window_kernel_grad(X, g, k):
+    """conv2d's kernel gradient as one product per tap over the window of
+    the zero-padded input under it."""
+    T, h, w, c_in = X.shape
+    pad = k // 2
+    Xp = np.zeros((T, h + 2 * pad, w + 2 * pad, c_in), dtype=X.dtype)
+    Xp[:, pad:pad + h, pad:pad + w] = X
+    g_rows = g.reshape(-1, g.shape[3])
+    gk = np.empty((k, k, c_in, g.shape[3]), dtype=X.dtype)
+    for di in range(k):
+        for dj in range(k):
+            gk[di, dj] = Xp[:, di:di + h, dj:dj + w].reshape(-1, c_in).T @ g_rows
+    return gk
+
+
+def _signed_zero_normal(rng, shape):
+    """f32 normal draws with about a quarter of them +0.0 or -0.0, the
+    zeros a ReLU's gradient and the GEMMs' sign rules work on."""
+    a = rng.normal(size=shape).astype(np.float32)
+    zero = rng.random(shape) < 0.25
+    a[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return a
+
+
+@given(T=st.integers(1, 5), h=st.integers(1, 5), w=st.integers(1, 5),
+       k=st.sampled_from([1, 3, 5]), c_in=st.sampled_from([1, 2, 5]),
+       c_out=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1))
+def test_conv2d_is_bitwise_its_reference_computations(T, h, w, k, c_in, c_out, seed):
+    """Forward, input gradient and kernel gradient against the per-window-row
+    forward, the padded-grid input gradient and the padded-input windows,
+    bit for bit, on every shape class: a frame smaller than the kernel gives
+    taps that lie wholly outside it and row shifts longer than all T*h*w rows."""
+    rng = np.random.default_rng(seed)
+    X = _signed_zero_normal(rng, (T, h, w, c_in))
+    K = _signed_zero_normal(rng, (k, k, c_in, c_out))
+    g = _signed_zero_normal(rng, (T, h, w, c_out))
+    tape = ad.Tape()
+    x, kernel = tape.leaf(X), tape.leaf(K)
+    out = ad.conv2d(x, kernel)
+    loss = ad.sum_all(ad.mul(out, tape.leaf(g)))  # the gradient reaching out is g
+    gx, gk = tape.backward(loss, [x, kernel])
+    assert out.data.tobytes() == _per_row_block_conv(X, K).tobytes()
+    assert gx.tobytes() == _padded_grid_input_grad(g, K, h, w).tobytes()
+    assert gk.tobytes() == _window_kernel_grad(X, g, k).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from avloc.data import load_entry, synth_dataset
 from avloc.errors import (AvlocError, ConfigError, ConsistencyError, ContractError,
                           FormatError, TrainingDiverged)
 from avloc.model import Dims, ModelConfig, init_params, predict
-from avloc.training import (ABLATION_VARIANTS, AblationTable, MetricsReport,
+from avloc.training import (ABLATION_VARIANTS, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
+                            Adam, AblationTable, MetricsReport,
                             TrainConfig, _batch_loss, ablate, evaluate,
                             load_checkpoint, save_checkpoint, split_manifest, train)
 
@@ -235,6 +236,48 @@ def test_adam_and_load_checkpoint_leave_read_only_parameters(tiny_dataset, tmp_p
             arrays["head.event_bias"][0, 0] = 1.0
 
 
+def _textbook_adam(params, grads, m, v, t, lr):
+    """One Adam step as the formula reads, on fresh arrays."""
+    bias1, bias2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+    out = {}
+    for name, current in params.items():
+        g = grads[name].astype(np.float32)
+        m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g
+        v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * g * g
+        update = lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + np.float32(ADAM_EPSILON))
+        out[name] = current - update
+    return out
+
+
+REAL_DIMS = Dims(d_a=128, d_v=512, h=7, w=7, hidden=512, relation=256, classes=28)
+
+
+@pytest.mark.parametrize("dims", [Dims(), REAL_DIMS], ids=["desk", "real"])
+def test_adam_steps_are_bitwise_the_textbook_formula(dims):
+    params = init_params(ModelConfig(dims=dims), seed=3)
+    opt = Adam(params, 5e-4)
+    ref = dict(params.items())
+    m = {n: np.zeros_like(a) for n, a in ref.items()}
+    v = {n: np.zeros_like(a) for n, a in ref.items()}
+    rng = np.random.default_rng(3)
+    for t in range(1, 6):
+        grads = {n: rng.normal(size=a.shape).astype(np.float32) for n, a in ref.items()}
+        grads[next(iter(grads))] *= 0.0  # zero gradients, of both signs
+        before = {n: (a, a.copy()) for n, a in params.items()}
+        opt.step(params, grads)
+        ref = _textbook_adam(ref, grads, m, v, t, 5e-4)
+        for name, new in params.items():
+            assert new.tobytes() == ref[name].tobytes(), (t, name)
+            old, old_copy = before[name]
+            assert new is not old and not old.flags.writeable and not new.flags.writeable
+            assert old.tobytes() == old_copy.tobytes()
+            for moment in (opt.m[name], opt.v[name]):
+                for other in (old, new, grads[name]):
+                    assert not np.shares_memory(moment, other)
+        assert all(opt.m[n].tobytes() == m[n].tobytes() and opt.v[n].tobytes() == v[n].tobytes()
+                   for n in m)
+
+
 def test_loss_curve_is_monotone_on_noiseless_data(tmp_path):
     base = str(tmp_path / "clean")
     manifest, _ = synth_dataset(base, seed=1, n_videos=8, snr=float("inf"), **TINY)
@@ -285,6 +328,14 @@ def test_all_correct_predictions_score_one(tiny_dataset):
     accuracy, per_class, _ = evaluate(params, cfg.model, relabeled, base)
     assert accuracy == 1.0
     assert all(v in (None, 1.0) for v in per_class.values())
+
+
+def test_supervised_training_on_background_only_videos_has_finite_losses(tmp_path):
+    base = str(tmp_path / "mixed")
+    manifest, _ = synth_dataset(base, seed=0, n_videos=8, background_fraction=0.25, **TINY)
+    assert any(e.label.video_class == TINY["classes"] for e in manifest.entries)
+    _, report = train(tiny_config(epochs=2), manifest, base)
+    assert len(report.losses) == 2 and np.isfinite(report.losses).all()
 
 
 def test_background_everywhere_on_background_truth_scores_one(tmp_path):
