@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import _is_int
 from .errors import ConfigError, ContractError, ShapeError
@@ -289,6 +290,108 @@ def _tap_sum(product, k: int, shape: tuple[int, ...], dtype, sign: int) -> np.nd
     return out.reshape(shape)
 
 
+def _check_conv(x_shape: tuple[int, ...], kernel_shape: tuple[int, ...]) -> None:
+    if len(x_shape) != 4:
+        raise ShapeError(f"conv2d input must be (T,h,w,c), got {x_shape}")
+    if len(kernel_shape) != 4 or kernel_shape[0] != kernel_shape[1]:
+        raise ShapeError(f"conv2d kernel must be (k,k,c_in,c_out), got {kernel_shape}")
+    if kernel_shape[0] % 2 == 0:
+        raise ConfigError(f"conv2d kernel extent must be odd for same padding, "
+                          f"got {kernel_shape[0]}")
+    if kernel_shape[2] != x_shape[3]:
+        raise ShapeError(f"channel mismatch: input {x_shape} vs kernel {kernel_shape}")
+
+
+def _conv_forward(X: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """conv2d's output: every kernel tap is one product over all T*h*w rows,
+    added into the output shifted by the tap's offset."""
+    T, h, w, c_in = X.shape
+    k, c_out = K.shape[0], K.shape[3]
+    # with one output channel numpy takes GEMV, whose sums depend on the row
+    # count, so those products keep w-row blocks (the rows of one window)
+    rows = X.reshape((T * h, w, c_in) if c_out == 1 else (T * h * w, c_in))
+    return _tap_sum(lambda di, dj: rows @ K[di, dj], k, (T, h, w, c_out), X.dtype, sign=1)
+
+
+def _conv_input_grad(g: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """conv2d's input gradient for the output gradient g: one product per
+    tap, summed back onto the input rows the tap read."""
+    k, c_in, c_out = K.shape[0], K.shape[2], K.shape[3]
+    g_rows = g.reshape(-1, c_out)
+
+    def one_channel(di, dj):
+        # a K=1 GEMM is one multiply per value: a broadcast gives the same
+        # values, and adding +0.0 turns its -0.0s into the GEMM's +0.0s
+        p = g_rows * K[di, dj, :, 0]
+        p += 0.0
+        return p
+
+    return _tap_sum(one_channel if c_out == 1 else lambda di, dj: g_rows @ K[di, dj].T,
+                    k, g.shape[:3] + (c_in,), g.dtype, sign=-1)
+
+
+def _im2col(X: np.ndarray, k: int) -> np.ndarray:
+    """(T*h*w, k*k*c_in) rows: row (t, i, j) holds, tap by tap in (di, dj)
+    order, the zero-padded input under tap (di, dj) of the window at (i, j)."""
+    T, h, w, c_in = X.shape
+    pad = k // 2
+    padded = np.zeros((T, h + 2 * pad, w + 2 * pad, c_in), dtype=X.dtype)
+    padded[:, pad:pad + h, pad:pad + w] = X
+    windows = sliding_window_view(padded, (k, k), axis=(1, 2))  # (T, h, w, c_in, k, k)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(T * h * w, k * k * c_in)
+
+
+def _per_tap_kernel_grad(X: np.ndarray, g_rows: np.ndarray, k: int) -> np.ndarray:
+    """conv2d's kernel gradient as one product per tap over the input window
+    under it: a shifted copy of the input rows with the rows over the
+    padding zeroed; the centre window is the input itself."""
+    _, _, w, c_in = X.shape
+    pad = k // 2
+    x_rows = X.reshape(-1, c_in)
+    gk = np.empty((k, k, c_in, g_rows.shape[1]), dtype=X.dtype)
+    for di in range(k):
+        for dj in range(k):
+            oi, oj = di - pad, dj - pad
+            window = x_rows
+            if oi or oj:
+                window = np.empty_like(x_rows)
+                to, frm = _row_shift(len(x_rows), oi * w + oj)
+                window[to] = x_rows[frm]
+                # the rows the shift leaves unwritten are among these
+                _zero_edges(window.reshape(X.shape), oi, oj)
+            gk[di, dj] = window.T @ g_rows
+    return gk
+
+
+def _conv_kernel_grads(X: np.ndarray, gs: Sequence[np.ndarray], k: int) -> list[np.ndarray]:
+    """conv2d's kernel gradient for each output gradient in gs, all of them
+    of k x k convs of the same input X.
+
+    With c_in and c_out both >= 2 each gradient is one product against one
+    im2col of X, which all of gs share, with the k*k taps along the
+    product's columns. A value then sums the same products over the same
+    rows as the per-tap product, and OpenBLAS gives it the same bits, except
+    where it takes another kernel for the smaller per-tap product (32 x 32
+    channels over 449-976 rows on an AVX-512 host). A product with one
+    channel on either side is a GEMV, whose sums depend on how the taps are
+    laid out, and a 1x1 kernel's one window is X itself: those keep the
+    per-tap products.
+    """
+    c_in = X.shape[3]
+    cols = None
+    out = []
+    for g in gs:
+        c_out = g.shape[-1]
+        g_rows = g.reshape(-1, c_out)
+        if k > 1 and c_in >= 2 and c_out >= 2:
+            if cols is None:
+                cols = _im2col(X, k)
+            out.append((g_rows.T @ cols).reshape(c_out, k, k, c_in).transpose(1, 2, 3, 0))
+        else:
+            out.append(_per_tap_kernel_grad(X, g_rows, k))
+    return out
+
+
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-time-step 2-D cross-correlation with same zero padding, stride 1.
 
@@ -301,57 +404,17 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     gives each row the same sum at any row count (every conv of the
     desk-scale model), the bits are those of that computation too.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be (T,h,w,c), got {x.shape}")
-    if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
-        raise ShapeError(f"conv2d kernel must be (k,k,c_in,c_out), got {kernel.shape}")
-    k = kernel.shape[0]
-    if k % 2 == 0:
-        raise ConfigError(f"conv2d kernel extent must be odd for same padding, got {k}")
-    if kernel.shape[2] != x.shape[3]:
-        raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
+    _check_conv(x.shape, kernel.shape)
     tape = _tape_of(x, kernel)
-    T, h, w, c_in = x.shape
-    c_out = kernel.shape[3]
     X, K = x.data, kernel.data
-    # with one output channel numpy takes GEMV, whose sums depend on the row
-    # count, so those products keep w-row blocks (the rows of one window)
-    rows = X.reshape((T * h, w, c_in) if c_out == 1 else (T * h * w, c_in))
-    out = _tap_sum(lambda di, dj: rows @ K[di, dj], k, (T, h, w, c_out), X.dtype, sign=1)
 
     def backward(g, needed):
-        g_rows = g.reshape(-1, c_out)
-
-        def one_channel(di, dj):
-            # a K=1 GEMM is one multiply per value: a broadcast gives the same
-            # values, and adding +0.0 turns its -0.0s into the GEMM's +0.0s
-            p = g_rows * K[di, dj, :, 0]
-            p += 0.0
-            return p
-
-        gx = gk = None
-        if needed[0]:
-            gx = _tap_sum(one_channel if c_out == 1 else lambda di, dj: g_rows @ K[di, dj].T,
-                          k, X.shape, X.dtype, sign=-1)
-        if needed[1]:
-            pad = k // 2
-            x_rows = X.reshape(-1, c_in)
-            gk = np.empty_like(K)
-            for di in range(k):
-                for dj in range(k):
-                    # the input under tap (di, dj), one row per output position
-                    oi, oj = di - pad, dj - pad
-                    window = x_rows
-                    if oi or oj:
-                        window = np.empty_like(x_rows)
-                        to, frm = _row_shift(len(x_rows), oi * w + oj)
-                        window[to] = x_rows[frm]
-                        # the rows the shift leaves unwritten are among these
-                        _zero_edges(window.reshape(X.shape), oi, oj)
-                    gk[di, dj] = window.T @ g_rows
+        gx = _conv_input_grad(g, K) if needed[0] else None
+        gk = _conv_kernel_grads(X, [g], K.shape[0])[0] if needed[1] else None
         return gx, gk
 
-    return tape._record(out, (x.node_id, kernel.node_id), backward, selective=True)
+    return tape._record(_conv_forward(X, K), (x.node_id, kernel.node_id), backward,
+                        selective=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import heads
-from .data import (DatasetManifest, FeatureBundle, LabelRecord, load_entry,
+from .data import (DatasetManifest, FeatureBundle, LabelRecord, _is_int, load_entry,
                    read_block, write_block)
 from .errors import ConfigError, ConsistencyError, ContractError, FormatError, TrainingDiverged
 from .model import (ForwardPass, ModelConfig, ModelParams, _freeze, init_params,
@@ -41,14 +41,14 @@ class TrainConfig:
 
     def validate(self) -> None:
         self.model.validate()
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+        for name, floor in (("epochs", 1), ("batch_size", 1), ("seed", 0),
+                            ("checkpoint_every", 0)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= floor):
+                raise ConfigError(f"{name} must be an int >= {floor}, got {value!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate!r}")
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
-            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -146,6 +146,8 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
           out_dir: str | None = None) -> tuple[ModelParams, MetricsReport]:
     """Mini-batch Adam over the manifest; deterministic given cfg.seed."""
     cfg.validate()
+    if not manifest.entries:
+        raise ContractError("training needs at least one video; the manifest has none")
     started = time.perf_counter()
     bundles = [load_entry(manifest, e, base_dir) for e in manifest.entries]
     labels = [e.label for e in manifest.entries]
@@ -375,6 +377,9 @@ def ablate(base: TrainConfig, manifest: DatasetManifest, base_dir: str,
     for seed in seeds:  # a bad seed fails before any run trains
         replace(base, seed=seed).validate()
     train_manifest, held_manifest = split_manifest(manifest)
+    if not held_manifest.entries:
+        raise ContractError(f"ablation holds out every 4th video, so it needs at least 4; "
+                            f"the manifest has {len(manifest.entries)}")
     rows = []
     for variant, motion_mode, temporal in ABLATION_VARIANTS:
         for seed in seeds:

@@ -198,16 +198,17 @@ def test_golden_forward_convs_match_the_per_row_block_computation(monkeypatch):
     """Each conv of the golden forward gives the bits of a product per window
     row. The one-output-channel spatial score map is the conv whose bits a
     single product over all T*h*w rows changes (numpy's GEMV sums depend on
-    the row count), and with them forward_seed0.json."""
+    the row count), and with them forward_seed0.json. The convs are recorded
+    at the forward helper that conv2d and the fused motion op share."""
     seen = []
-    conv2d = ad.conv2d
+    conv_forward = ad._conv_forward
 
-    def recording(x, kernel):
-        out = conv2d(x, kernel)
-        seen.append((x.data, kernel.data, out.data))
+    def recording(X, K):
+        out = conv_forward(X, K)
+        seen.append((X, K, out))
         return out
 
-    monkeypatch.setattr(ad, "conv2d", recording)
+    monkeypatch.setattr(ad, "_conv_forward", recording)
     cfg = ModelConfig()
     predict(init_params(cfg, seed=0), cfg, default_bundle(0, cfg))
     assert sorted(K.shape for _, K, _ in seen) == sorted(
@@ -357,12 +358,15 @@ def test_perturbing_one_video_leaves_the_others_in_the_batch_unchanged():
 
 def test_every_video_of_a_batch_has_exact_zero_boundary_motion():
     from avloc import motion
+    from test_motion import reference_motion
     videos, T, h, w, c = 4, 5, 2, 3, 6
     rng = np.random.default_rng(11)
     tape = ad.Tape(videos=videos)
     aligned = tape.leaf(rng.normal(size=(videos * T, h, w, c)))
     past_kernel, future_kernel = (tape.leaf(rng.normal(size=(3, 3, c, c))) for _ in range(2))
-    past, future = motion.past_future_motion(aligned, past_kernel, future_kernel)
+    past, future, fused = reference_motion(aligned, past_kernel, future_kernel)
+    assert motion.past_future_motion(aligned, past_kernel, future_kernel).data.tobytes() \
+        == fused.data.tobytes()
     past = past.data.reshape(videos, T, h, w, c)
     future = future.data.reshape(videos, T, h, w, c)
     assert np.all(past[:, 0] == 0.0) and np.all(future[:, T - 1] == 0.0)

@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from avloc import autodiff as ad
+from avloc import training
 from avloc.cli import main
 from avloc.data import load_entry, synth_dataset
 from avloc.errors import (AvlocError, ConfigError, ConsistencyError, ContractError,
@@ -109,6 +110,30 @@ def test_dataset_dims_must_match_config(tiny_dataset):
     cfg.model.dims.d_a = 5
     with pytest.raises(ConsistencyError, match="d_a"):
         train(cfg, manifest, base)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("epochs", 1.5), ("epochs", True),
+    ("batch_size", 0), ("batch_size", 2.5), ("batch_size", "4"),
+    ("checkpoint_every", -1), ("checkpoint_every", 1.5), ("checkpoint_every", None),
+    ("learning_rate", 0.0), ("learning_rate", float("nan")),
+    ("seed", -1), ("seed", True),
+])
+def test_bad_train_config_values_are_config_errors(tiny_dataset, tmp_path, field, value):
+    manifest, base = tiny_dataset
+    cfg = tiny_config(**{field: value})
+    with pytest.raises(ConfigError, match=field):
+        cfg.validate()
+    out = str(tmp_path / "run")
+    with pytest.raises(ConfigError, match=field):
+        train(cfg, manifest, base, out_dir=out)
+    assert not os.path.exists(out)
+
+
+def test_training_on_no_videos_is_a_contract_error(tmp_path):
+    manifest, _ = synth_dataset(str(tmp_path), seed=1, n_videos=0, **TINY)
+    with pytest.raises(ContractError, match="at least one video"):
+        train(tiny_config(), manifest, str(tmp_path))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -488,6 +513,14 @@ def test_ablate_requires_two_seeds(tiny_dataset):
     manifest, base = tiny_dataset
     with pytest.raises(ContractError):
         ablate(tiny_config(), manifest, base, seeds=[0])
+
+
+@pytest.mark.parametrize("videos", [0, 3])
+def test_ablate_needs_a_held_out_video_before_anything_trains(tmp_path, monkeypatch, videos):
+    manifest, _ = synth_dataset(str(tmp_path), seed=1, n_videos=videos, **TINY)
+    monkeypatch.setattr(training, "train", None)  # any training run would fail differently
+    with pytest.raises(ContractError, match=f"at least 4; the manifest has {videos}"):
+        ablate(tiny_config(), manifest, str(tmp_path), seeds=[0, 1])
 
 
 @pytest.mark.slow
