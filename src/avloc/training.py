@@ -211,6 +211,8 @@ def evaluate(params: ModelParams, cfg: ModelConfig, manifest: DatasetManifest,
     ground-truth label and the raw predictions. Feature files are read one at
     a time."""
     _check_dims(cfg, manifest)
+    if not manifest.entries:
+        raise ContractError("evaluation needs at least one video; the manifest has none")
     return _score(params, cfg, manifest,
                   (load_entry(manifest, e, base_dir) for e in manifest.entries))
 

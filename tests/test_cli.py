@@ -123,14 +123,22 @@ def test_bad_cli_input_is_a_typed_error(dataset, workspace, capsys, command,
     ("train", 0, "at least one video"),
     ("ablate", 0, "at least 4; the manifest has 0"),
     ("ablate", 3, "at least 4; the manifest has 3"),
-], ids=["train_no_videos", "ablate_no_videos", "ablate_no_held_out_video"])
-def test_too_few_videos_is_a_typed_error(workspace, capsys, command, videos, message):
+    ("eval", 0, "at least one video"),
+], ids=["train_no_videos", "ablate_no_videos", "ablate_no_held_out_video",
+        "eval_no_videos"])
+def test_too_few_videos_is_a_typed_error(dataset, workspace, capsys, command, videos,
+                                         message):
     data = os.path.join(workspace, f"videos{videos}")
     assert main(["synth", "--seed", "1", "--out", data, "--videos", str(videos),
-                 "--T", "4", "--da", "6", "--dv", "8", "--h", "2", "--w", "2"]) == 0
+                 "--T", "4", "--da", "6", "--dv", "8", "--h", "2", "--w", "2",
+                 "--classes", "3"]) == 0
     out = os.path.join(workspace, f"{command}_videos{videos}")
-    assert main([command, "--manifest", os.path.join(data, "manifest.json"),
-                 "--out", out]) == 2
+    target = ["--out", out]
+    if command == "eval":  # with a checkpoint of the same dims, trained on `dataset`
+        assert main(["train", "--manifest", dataset, "--epochs", "1",
+                     "--out", out + "_run"]) == 0
+        target = ["--checkpoint", os.path.join(out + "_run", "checkpoint"), "--report", out]
+    assert main([command, "--manifest", os.path.join(data, "manifest.json")] + target) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
 
