@@ -138,6 +138,28 @@ def test_conv2d_matches_sliding_window_oracle(x_shape, k_shape):
         npt.assert_allclose(a, b, rtol=1e-10, atol=1e-10, err_msg=name)
 
 
+@pytest.mark.parametrize("videos", [5, 7, 10])
+def test_conv2d_kernel_grad_is_one_product_per_tap_window(videos):
+    """At the desk model's motion dims (T=10, 3x3, 32 channels) over 450-900
+    rows, each tap's f32 kernel gradient is bitwise one product of that tap's
+    zero-padded input window with the output gradient. One product over all
+    k*k taps at once (im2col) sums the same terms but gives other bits at
+    these row counts."""
+    rng = np.random.default_rng(videos)
+    x = rng.normal(size=(10 * videos, 3, 3, 32)).astype(np.float32)
+    kernel = rng.normal(size=(3, 3, 32, 32)).astype(np.float32)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    t = ad.Tape()
+    tk = t.leaf(kernel)
+    out = ad.conv2d(t.leaf(x), tk)
+    gk, = t.backward(ad.sum_all(ad.mul(out, t.leaf(g))), [tk])
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    g_rows = g.reshape(-1, 32)
+    for di, dj in itertools.product(range(3), range(3)):
+        window = np.ascontiguousarray(padded[:, di:di + 3, dj:dj + 3]).reshape(-1, 32)
+        assert gk[di, dj].tobytes() == (window.T @ g_rows).tobytes(), (di, dj)
+
+
 def test_conv2d_even_kernel_is_config_error():
     t = ad.Tape()
     with pytest.raises(ConfigError):

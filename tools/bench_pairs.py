@@ -1,12 +1,13 @@
 """Alternating benchmark pairs: a base revision against the working tree.
 
-    python3 tools/bench_pairs.py --pairs 10 --seconds 30 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --pairs 10 --out BENCH_<n>.json
 
 Each pair runs `perfbench/run.py --trace 0` once on each side with the same
-seed, the two sides taking turns to go first. The base side is `--base`
-(default HEAD~1) exported with `git archive` into a temporary directory,
-which is removed when the runs end; the change side is the working tree as
-it is, uncommitted edits included. Run it from the root of the repository.
+seed and BENCHMARK.json's run length, the two sides taking turns to go
+first. The base side is `--base` (default HEAD~1) exported with `git
+archive` into a temporary directory, which is removed when the runs end;
+the change side is the working tree as it is, uncommitted edits included.
+Run it from the root of the repository.
 
 The output JSON holds both commits, the host as the runs' `# env` lines
 report it, and for each workload and end-to-end metric both sides' values,
@@ -78,7 +79,7 @@ def _export(rev: str, into: str) -> None:
         tar.extractall(into, filter="data")
 
 
-def _run(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def _run(tree: str, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
     done = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"),
                            "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
@@ -95,7 +96,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
     parser.add_argument("--workload", action="append",
                         help="repeatable; default every workload of BENCHMARK.json")
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
            "change": {"commit": _git("rev-parse", "HEAD"),
                       "uncommitted_edits": bool(_git("status", "--porcelain", "--",
                                                      "src", "perfbench"))},
-           "seconds": args.seconds, "host": None, "workloads": {}}
+           "seconds": bench["run_seconds"], "host": None, "workloads": {}}
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
         _export(args.base, scratch)
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                runs = {side: _run(trees[side], workload, seed, args.seconds)
+                runs = {side: _run(trees[side], workload, seed, bench["run_seconds"])
                         for side in order}
                 for side, (env, _) in runs.items():
                     doc[side].setdefault("src_sha256", env["src_sha256"])
