@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import _is_int
 from .errors import ConfigError, ContractError, ShapeError
@@ -329,17 +330,25 @@ def _conv_input_grad(g: np.ndarray, K: np.ndarray) -> np.ndarray:
                     k, g.shape[:3] + (c_in,), g.dtype, sign=-1)
 
 
-def _conv_kernel_grads(X: np.ndarray, gs: Sequence[np.ndarray], k: int) -> list[np.ndarray]:
-    """conv2d's kernel gradient for each output gradient in gs, all of them
-    of k x k convs of the same input X: one product per tap over the input
-    window under it, a shifted copy of the input rows with the rows over the
-    padding zeroed (the centre window is the input itself). Each window is
-    built once and shared by every gradient in gs."""
+def _im2col(X: np.ndarray, k: int) -> np.ndarray:
+    """(T*h*w, k*k*c_in) rows: row (t, i, j) holds, tap by tap in (di, dj)
+    order, the zero-padded input under tap (di, dj) of the window at (i, j)."""
+    T, h, w, c_in = X.shape
+    pad = k // 2
+    padded = np.zeros((T, h + 2 * pad, w + 2 * pad, c_in), dtype=X.dtype)
+    padded[:, pad:pad + h, pad:pad + w] = X
+    windows = sliding_window_view(padded, (k, k), axis=(1, 2))  # (T, h, w, c_in, k, k)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(T * h * w, k * k * c_in)
+
+
+def _per_tap_kernel_grad(X: np.ndarray, g_rows: np.ndarray, k: int) -> np.ndarray:
+    """conv2d's kernel gradient as one product per tap over the input window
+    under it: a shifted copy of the input rows with the rows over the
+    padding zeroed; the centre window is the input itself."""
     _, _, w, c_in = X.shape
     pad = k // 2
     x_rows = X.reshape(-1, c_in)
-    g_rows = [g.reshape(-1, g.shape[-1]) for g in gs]
-    gks = [np.empty((k, k, c_in, g.shape[1]), dtype=X.dtype) for g in g_rows]
+    gk = np.empty((k, k, c_in, g_rows.shape[1]), dtype=X.dtype)
     for di in range(k):
         for dj in range(k):
             oi, oj = di - pad, dj - pad
@@ -350,9 +359,38 @@ def _conv_kernel_grads(X: np.ndarray, gs: Sequence[np.ndarray], k: int) -> list[
                 window[to] = x_rows[frm]
                 # the rows the shift leaves unwritten are among these
                 _zero_edges(window.reshape(X.shape), oi, oj)
-            for gk, g in zip(gks, g_rows):
-                gk[di, dj] = window.T @ g
-    return gks
+            gk[di, dj] = window.T @ g_rows
+    return gk
+
+
+def _conv_kernel_grads(X: np.ndarray, gs: Sequence[np.ndarray], k: int) -> list[np.ndarray]:
+    """conv2d's kernel gradient for each output gradient in gs, all of them
+    of k x k convs of the same input X.
+
+    With c_in and c_out both >= 2 each gradient is one product against one
+    im2col of X, which all of gs share, with the k*k taps along the
+    product's columns. A value then sums the same products over the same
+    rows as a per-tap product, but BLAS may run the two products through
+    other kernels, and their bits agree only at some sizes (see the README's
+    motion section): the desk model's kernel gradients keep the per-tap
+    bits in mini-batches of 32 videos but not of 5-10. A product with one
+    channel on either side is a GEMV, whose sums depend on how the taps are
+    laid out, and a 1x1 kernel's one window is X itself: those keep the
+    per-tap products.
+    """
+    c_in = X.shape[3]
+    cols = None
+    out = []
+    for g in gs:
+        c_out = g.shape[-1]
+        g_rows = g.reshape(-1, c_out)
+        if k > 1 and c_in >= 2 and c_out >= 2:
+            if cols is None:
+                cols = _im2col(X, k)
+            out.append((g_rows.T @ cols).reshape(c_out, k, k, c_in).transpose(1, 2, 3, 0))
+        else:
+            out.append(_per_tap_kernel_grad(X, g_rows, k))
+    return out
 
 
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:

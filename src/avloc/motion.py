@@ -37,7 +37,7 @@ def _motion(aligned: ad.Tensor, future_kernel: ad.Tensor,
     Forward and backward do, value for value, the arithmetic of composing
     each direction from conv2d, slice_axis, sub, zeros and concat and adding
     them, in the order the tape's reverse sweep runs it, and the two kernel
-    gradients share each tap's window of `aligned`.
+    gradients share one im2col of `aligned`.
     """
     # in the node's input order: (aligned, past, future) or (aligned, future)
     kernels = (future_kernel,) if past_kernel is None else (past_kernel, future_kernel)
