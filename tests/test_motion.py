@@ -4,7 +4,7 @@ boundary zeros, hand-evaluated cases, nulls, gradients."""
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from avloc import autodiff as ad
@@ -76,8 +76,16 @@ def fused_motion(aligned, past_kernel, future_kernel):
     return motion.past_future_motion(aligned, past_kernel, future_kernel)
 
 
-def assert_fused_is_bitwise_composed(videos, T, h, w, c, mode, seed):
-    """Output and the gradients of `aligned` and both kernels, bit for bit."""
+@given(videos=st.integers(1, 3), T=st.integers(2, 5), h=st.integers(1, 4),
+       w=st.integers(1, 4), c=st.sampled_from([1, 2, 5]),
+       mode=st.sampled_from(["pfme", "future_only"]), seed=st.integers(0, 2**32 - 1))
+@example(videos=7, T=10, h=3, w=3, c=32, mode="pfme", seed=7)
+@example(videos=7, T=10, h=3, w=3, c=32, mode="future_only", seed=7)
+@example(videos=32, T=10, h=3, w=3, c=32, mode="pfme", seed=32)
+def test_fused_motion_is_bitwise_the_composed_chain(videos, T, h, w, c, mode, seed):
+    """Output and the gradients of `aligned` and both kernels, bit for bit;
+    the examples are the desk model's motion grid in a short last
+    mini-batch and in a full one."""
     rng = np.random.default_rng(seed)
     X = _signed_zero_normal(rng, (videos * T, h, w, c))
     K_past, K_future = (_signed_zero_normal(rng, (3, 3, c, c)) for _ in range(2))
@@ -94,22 +102,6 @@ def assert_fused_is_bitwise_composed(videos, T, h, w, c, mode, seed):
     composed = run(lambda *args: reference_motion(*args)[2])
     for name, a, b in zip(("out", "aligned", "past_kernel", "future_kernel"), fused, composed):
         assert a.tobytes() == b.tobytes(), name
-
-
-@given(videos=st.integers(1, 3), T=st.integers(2, 5), h=st.integers(1, 4),
-       w=st.integers(1, 4), c=st.sampled_from([1, 2, 5]),
-       mode=st.sampled_from(["pfme", "future_only"]), seed=st.integers(0, 2**32 - 1))
-def test_fused_motion_is_bitwise_the_composed_chain(videos, T, h, w, c, mode, seed):
-    assert_fused_is_bitwise_composed(videos, T, h, w, c, mode, seed)
-
-
-@pytest.mark.parametrize("videos", [7, 32])
-@pytest.mark.parametrize("mode", ["pfme", "future_only"])
-def test_fused_motion_is_bitwise_the_composed_chain_at_desk_dims(videos, mode):
-    """The desk model's motion grid (T=10, 3x3, 32 channels) for a short
-    last mini-batch and a full one; the property test above stays at 5
-    channels and 240 rows."""
-    assert_fused_is_bitwise_composed(videos, 10, 3, 3, 32, mode, seed=videos)
 
 
 def test_fused_motion_gives_each_requested_gradient_alone():
