@@ -7,10 +7,10 @@ import json
 import os
 import sys
 
-from . import gradcheck
-from .data import load_manifest, synth_dataset
+from . import gradcheck, motion
+from .data import load_manifest, synth_dataset, synced_open
 from .errors import AvlocError, ConfigError
-from .model import Dims, ModelConfig
+from .model import MODES, Dims, ModelConfig
 from .training import (TrainConfig, ablate, evaluate, load_checkpoint, train)
 
 ABLATE_EPOCHS = 80  # per-variant training budget used by the ablate subcommand
@@ -37,13 +37,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on a dataset manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--mode", choices=["supervised", "weak"], default="supervised")
+    p.add_argument("--mode", choices=MODES, default="supervised")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=5e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--motion", choices=["pfme", "future-only", "off"], default="pfme")
+    p.add_argument("--motion", choices=[m.replace("_", "-") for m in motion.VARIANTS],
+                   default="pfme")
     p.add_argument("--temporal-attention", choices=["on", "off"], default="on")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
@@ -113,7 +114,7 @@ def _dispatch(args) -> int:
             "config": model_cfg.to_dict(),
             "predictions": [p.to_record() for p in predictions],
         }
-        with open(args.report, "w", encoding="utf-8") as f:
+        with synced_open(args.report) as f:
             json.dump(report, f, indent=1)
         print(f"segment accuracy {accuracy:.4f} over "
               f"{len(predictions)} videos -> {args.report}")
@@ -129,9 +130,9 @@ def _dispatch(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         json_path = os.path.join(args.out, "ablation.json")
         csv_path = os.path.join(args.out, "ablation.csv")
-        with open(json_path, "w", encoding="utf-8") as f:
+        with synced_open(json_path) as f:
             f.write(table.to_json())
-        with open(csv_path, "w", encoding="utf-8") as f:
+        with synced_open(csv_path) as f:
             f.write(table.to_csv())
         for variant, stats in table.summary().items():
             print(f"{variant}: {stats['mean']:.4f} +/- {stats['sd']:.4f}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,6 +33,19 @@ from .errors import (ConfigError, ConsistencyError, ContractError, DataError,
 MAGIC = b"AVF1"
 _MAX_RANK = 4
 MANIFEST_VERSION = "avf-synth-1"
+DRIFT_STEP = np.pi / 2  # synth_dataset's rotation of the event pattern per segment
+AMPLITUDE = 4.0         # synth_dataset's factor on signal and noise
+CLUTTER = 1.0           # synth_dataset's static background frame, relative to the noise
+
+
+@contextmanager
+def synced_open(path: str, mode: str = "w"):
+    """`open(path, mode)`, text as UTF-8, whose file is flushed and fsynced
+    to disk before it closes; every file avloc writes goes through it."""
+    with open(path, mode, encoding=None if "b" in mode else "utf-8") as f:
+        yield f
+        f.flush()
+        os.fsync(f.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +197,8 @@ class DatasetManifest(FeatureDims):
 
 def save_manifest(manifest: DatasetManifest, path: str) -> None:
     manifest.validate()
-    with open(path, "w", encoding="utf-8") as f:
+    with synced_open(path) as f:
         f.write(manifest.to_json())
-        f.flush()
-        os.fsync(f.fileno())
 
 
 def _is_int(value) -> bool:
@@ -276,16 +288,14 @@ def read_block(f, path: str, expect_shape: tuple[int, ...] | None = None) -> np.
             f"{path}: block header declares {extents}, expected {tuple(expect_shape)}")
     count = int(np.prod(extents, dtype=np.int64))
     payload = _read_exact(f, 4 * count, path, f"payload of {count} values")
-    return np.frombuffer(payload, dtype="<f4").reshape(extents).astype(np.float32)
+    return np.frombuffer(payload, dtype="<f4").reshape(extents)  # read-only, no copy
 
 
 def save_bundle(bundle: FeatureBundle, path: str) -> None:
     """Write audio then visual blocks; synced to disk before returning."""
-    with open(path, "wb") as f:
+    with synced_open(path, "wb") as f:
         write_block(f, bundle.audio)
         write_block(f, bundle.visual)
-        f.flush()
-        os.fsync(f.fileno())
 
 
 def load_bundle(path: str, manifest: DatasetManifest, video_id: str = "") -> FeatureBundle:
@@ -333,9 +343,6 @@ def _unit_noise(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
 def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
                   distractor_prob: float = 0.5,
                   background_fraction: float = 0.0,
-                  drift_step: float = np.pi / 2,
-                  amplitude: float = 4.0,
-                  clutter: float = 1.0,
                   **dims: int) -> tuple[DatasetManifest, SynthInfo]:
     """Generate a planted-event dataset and write it under `out_dir`.
 
@@ -351,9 +358,9 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
     `dims` are FeatureDims fields by keyword (its defaults otherwise). Bad
     arguments raise before anything is written.
 
-    `snr` is the ratio of prototype norm to expected noise norm; `amplitude`
+    `snr` is the ratio of prototype norm to expected noise norm; AMPLITUDE
     scales signal and noise together (it changes activation magnitudes, not
-    separability). `clutter` scales the static background frame relative to
+    separability). CLUTTER scales the static background frame relative to
     the noise: clutter makes per-video static visual content dominate pattern
     detection while leaving temporal differences untouched, which is what
     gives motion-based discrimination its edge.
@@ -391,13 +398,13 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
             start, length = 0, 0
         end = start + length
 
-        background = _unit_noise(rng, frame, clutter * noise_scale)  # static scene
+        background = _unit_noise(rng, frame, CLUTTER * noise_scale)  # static scene
         audio = _unit_noise(rng, audio_shape, noise_scale)
         visual = background[None] + _unit_noise(rng, visual_shape, noise_scale)
         distractor = np.zeros(T, dtype=bool)
         for t in range(T):
             if start <= t < end:
-                angle = drift_step * (t - start)
+                angle = DRIFT_STEP * (t - start)
                 pattern = (np.cos(angle) * visual_patterns[cls, 0]
                            + np.sin(angle) * visual_patterns[cls, 1])
                 audio[t] += audio_protos[cls]
@@ -418,8 +425,8 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
 
         video_id = f"vid_{i:04d}"
         path = f"{video_id}.avf"
-        bundle = FeatureBundle(audio=(amplitude * audio).astype(np.float32),
-                               visual=(amplitude * visual).astype(np.float32),
+        bundle = FeatureBundle(audio=(AMPLITUDE * audio).astype(np.float32),
+                               visual=(AMPLITUDE * visual).astype(np.float32),
                                video_id=video_id)
         save_bundle(bundle, os.path.join(out_dir, path))
         manifest.entries.append(ManifestEntry(video_id=video_id, path=path, label=label))

@@ -48,8 +48,7 @@ class CheckResult:
 Builder = Callable[[Sequence[np.ndarray]], tuple[ad.Tensor, list[ad.Tensor]]]
 
 
-def check_gradients(name: str, build: Builder, arrays: Sequence[np.ndarray],
-                    eps: float = EPS) -> CheckResult:
+def check_gradients(name: str, build: Builder, arrays: Sequence[np.ndarray]) -> CheckResult:
     """Compare tape gradients of a scalar builder against central differences."""
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     loss, leaves = build(arrays)
@@ -66,9 +65,9 @@ def check_gradients(name: str, build: Builder, arrays: Sequence[np.ndarray],
         for idx in np.ndindex(base.shape):
             plus = [a.copy() for a in arrays]
             minus = [a.copy() for a in arrays]
-            plus[i][idx] += eps
-            minus[i][idx] -= eps
-            numeric[idx] = (value(plus) - value(minus)) / (2.0 * eps)
+            plus[i][idx] += EPS
+            minus[i][idx] -= EPS
+            numeric[idx] = (value(plus) - value(minus)) / (2.0 * EPS)
         err = np.abs(analytic[i] - numeric)
         denom = np.maximum(np.abs(analytic[i]), np.abs(numeric))
         worst_rel = max(worst_rel, float((err / (denom + ABS_TOL / REL_TOL)).max()))

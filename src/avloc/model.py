@@ -49,16 +49,14 @@ def _check_keys(cls, doc, legacy: Iterable[str] = ()) -> None:
 class ModelConfig:
     dims: Dims = field(default_factory=Dims)
     mode: str = "supervised"
-    motion: str = "pfme"                 # pfme | future_only | off
+    motion: str = "pfme"                 # a row of motion.VARIANTS
     temporal_attention: bool = True
 
     def validate(self) -> None:
         self.dims.validate()
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.motion not in motion.MOTION_MODES:
-            raise ConfigError(f"motion must be one of {motion.MOTION_MODES}, "
-                              f"got {self.motion!r}")
+        motion.check_mode(self.motion)
         if not isinstance(self.temporal_attention, bool):
             raise ConfigError(f"temporal_attention must be a bool, "
                               f"got {self.temporal_attention!r}")

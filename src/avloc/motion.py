@@ -6,8 +6,8 @@ temporal neighbors through small spatial convolutions (which absorb pixel
 offset between segments), fuse both directions, spatially pool, and remap
 channels. The first segment has no past and the last no future, so those
 rows are exactly zero by construction. Both directions and their sum are
-one tape op. The ablation modes replace the past motion (`future_only`) or
-the whole feature (`off`) with zeros.
+one tape op. The motion variants are the rows of `VARIANTS`: `future_only`
+replaces the past motion and `off` the whole feature with zeros.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, ShapeError
-
-MOTION_MODES = ("pfme", "future_only", "off")
 
 
 def align_channels(visual: ad.Tensor, align_kernel: ad.Tensor) -> ad.Tensor:
@@ -118,18 +116,27 @@ def fuse_and_pool(motion: ad.Tensor, out_map: ad.Tensor) -> ad.Tensor:
     return ad.matmul(ad.avg_spatial(motion), out_map)
 
 
+# mode -> (its readout of the aligned grid, None for zeros that read no weight;
+# its ablation rows as (row name, temporal attention)); the grid runs bottom-up
+VARIANTS = {
+    "pfme": (lambda x, p: past_future_motion(x, p["past_kernel"], p["future_kernel"]),
+             (("pfme_wo_temporal_attention", False), ("pfme_w_temporal_attention", True))),
+    "future_only": (lambda x, p: future_motion(x, p["future_kernel"]), (("future_only", False),)),
+    "off": (None, (("no_motion", False),)),
+}
+
+
+def check_mode(mode: str) -> None:
+    if mode not in VARIANTS:
+        raise ConfigError(f"motion must be one of {tuple(VARIANTS)}, got {mode!r}")
+
+
 def motion_feature(visual: ad.Tensor, p: Mapping[str, ad.Tensor],
                    mode: str = "pfme") -> ad.Tensor:
-    """(T, h, w, d_v) visual -> (T, d_a) motion feature, from the `motion`
-    group of the model's parameter table. `future_only` sets the past motion
-    to zero; `off` is all zeros and reads no weight."""
-    if mode not in MOTION_MODES:
-        raise ConfigError(f"motion must be one of {MOTION_MODES}, got {mode!r}")
-    if mode == "off":
+    """(T, h, w, d_v) visual -> (T, d_a) motion feature of the `VARIANTS`
+    row `mode`, from the `motion` group of the model's parameter table."""
+    check_mode(mode)
+    readout = VARIANTS[mode][0]
+    if readout is None:
         return visual.tape.zeros((visual.shape[0], p["out_map"].shape[1]))
-    aligned = align_channels(visual, p["align_kernel"])
-    if mode == "future_only":
-        fused = future_motion(aligned, p["future_kernel"])
-    else:
-        fused = past_future_motion(aligned, p["past_kernel"], p["future_kernel"])
-    return fuse_and_pool(fused, p["out_map"])
+    return fuse_and_pool(readout(align_channels(visual, p["align_kernel"]), p), p["out_map"])

@@ -19,9 +19,9 @@ from typing import Iterable
 import numpy as np
 
 from . import autodiff as ad
-from . import heads
+from . import heads, motion
 from .data import (DatasetManifest, FeatureBundle, LabelRecord, _is_int, load_entry,
-                   read_block, write_block)
+                   read_block, synced_open, write_block)
 from .errors import ConfigError, ConsistencyError, ContractError, FormatError, TrainingDiverged
 from .model import (ForwardPass, ModelConfig, ModelParams, _freeze, init_params,
                     param_table, predict, run_forward)
@@ -37,12 +37,10 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 5e-4
     seed: int = 0
-    checkpoint_every: int = 0   # epochs between checkpoints; 0 = final only
 
     def validate(self) -> None:
         self.model.validate()
-        for name, floor in (("epochs", 1), ("batch_size", 1), ("seed", 0),
-                            ("checkpoint_every", 0)):
+        for name, floor in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (_is_int(value) and value >= floor):
                 raise ConfigError(f"{name} must be an int >= {floor}, got {value!r}")
@@ -177,9 +175,6 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
                                            f"at epoch {epoch}")
             opt.step(params, step)
         losses.append(epoch_loss / len(bundles))
-        if out_dir and cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
-            save_checkpoint(os.path.join(out_dir, f"epoch_{epoch + 1:04d}"),
-                            params, cfg.model)
 
     accuracy, per_class, _ = _score(params, cfg.model, manifest, bundles)
     report = MetricsReport(losses=losses, accuracy=accuracy, per_class=per_class,
@@ -188,7 +183,7 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "checkpoint"), params, cfg.model)
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
+        with synced_open(os.path.join(out_dir, "report.json")) as f:
             json.dump(report.to_dict(), f, indent=1)
     return params, report
 
@@ -253,21 +248,17 @@ def save_checkpoint(ckpt_dir: str, params: ModelParams, cfg: ModelConfig) -> Non
     """One binary container of consecutive tensor blocks plus a JSON index."""
     os.makedirs(ckpt_dir, exist_ok=True)
     items = params.items()
-    with open(os.path.join(ckpt_dir, "params.bin"), "wb") as f:
+    with synced_open(os.path.join(ckpt_dir, "params.bin"), "wb") as f:
         for _, arr in items:
             write_block(f, arr)
-        f.flush()
-        os.fsync(f.fileno())
     index = {
         "format": CHECKPOINT_VERSION,
         "seed": params.seed,
         "config": cfg.to_dict(),
         "params": [{"name": n, "shape": list(a.shape)} for n, a in items],
     }
-    with open(os.path.join(ckpt_dir, "index.json"), "w", encoding="utf-8") as f:
+    with synced_open(os.path.join(ckpt_dir, "index.json")) as f:
         json.dump(index, f, indent=1)
-        f.flush()
-        os.fsync(f.fileno())
 
 
 def load_checkpoint(ckpt_dir: str) -> tuple[ModelParams, ModelConfig]:
@@ -304,13 +295,11 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ModelParams, ModelConfig]:
 # ablation
 
 
+# (variant name, motion mode, temporal attention), from motion.VARIANTS bottom-up
 ABLATION_VARIANTS: list[tuple[str, str, bool]] = [
-    # (variant name, motion mode, temporal attention)
-    ("no_motion", "off", False),
-    ("future_only", "future_only", False),
-    ("pfme_wo_temporal_attention", "pfme", False),
-    ("pfme_w_temporal_attention", "pfme", True),
-]
+    (name, mode, temporal) for mode, (_, rows) in reversed(motion.VARIANTS.items())
+    for name, temporal in rows]
+HOLDOUT_EVERY = 4
 
 
 @dataclass
@@ -361,12 +350,11 @@ class AblationTable:
                          for v, s, a in reader])
 
 
-def split_manifest(manifest: DatasetManifest, holdout_every: int = 4
-                   ) -> tuple[DatasetManifest, DatasetManifest]:
-    """Deterministic split: every `holdout_every`-th entry is held out."""
+def split_manifest(manifest: DatasetManifest) -> tuple[DatasetManifest, DatasetManifest]:
+    """Deterministic split: every HOLDOUT_EVERY-th entry is held out."""
     train, held = replace(manifest, entries=[]), replace(manifest, entries=[])
     for i, entry in enumerate(manifest.entries):
-        (held if i % holdout_every == holdout_every - 1 else train).entries.append(entry)
+        (held if i % HOLDOUT_EVERY == HOLDOUT_EVERY - 1 else train).entries.append(entry)
     return train, held
 
 
@@ -380,8 +368,8 @@ def ablate(base: TrainConfig, manifest: DatasetManifest, base_dir: str,
         replace(base, seed=seed).validate()
     train_manifest, held_manifest = split_manifest(manifest)
     if not held_manifest.entries:
-        raise ContractError(f"ablation holds out every 4th video, so it needs at least 4; "
-                            f"the manifest has {len(manifest.entries)}")
+        raise ContractError(f"ablation holds out every {HOLDOUT_EVERY}th video, so it needs "
+                            f"at least {HOLDOUT_EVERY}; the manifest has {len(manifest.entries)}")
     rows = []
     for variant, motion_mode, temporal in ABLATION_VARIANTS:
         for seed in seeds:

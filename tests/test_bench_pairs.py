@@ -9,6 +9,8 @@ import pytest
 
 PAIRS = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir,
                                     "tools", "bench_pairs.py"))
+METRICS = {"videos_per_s": {"better": "higher", "bound": 0.25},
+           "final_loss": {"better": "lower", "bound": 0.25}}
 
 
 def _output(videos_per_s, final_loss, failed=0):
@@ -37,7 +39,7 @@ def test_summary_gives_medians_iqrs_and_wins_in_each_metrics_direction():
     runs = [((10.0, 0.5), (12.0, 0.5)), ((11.0, 0.5), (10.5, 0.5)),
             ((9.0, 0.5), (13.0, 0.5)), ((10.0, 0.5), (12.5, 0.4))]
     pairs = [(parse(_output(*b))[1], parse(_output(*c, failed=1))[1]) for b, c in runs]
-    summary = PAIRS["summarize"](pairs, {"videos_per_s": "higher", "final_loss": "lower"})
+    summary = PAIRS["summarize"](pairs, METRICS)
     rate = summary["videos_per_s"]
     assert rate["base"]["values"] == [10.0, 11.0, 9.0, 10.0]
     assert rate["base"]["median"] == 10.0
@@ -52,6 +54,39 @@ def test_summary_gives_medians_iqrs_and_wins_in_each_metrics_direction():
 
 def test_one_pair_has_zero_spread():
     result = PAIRS["parse_run"](_output(3.0, 1.0))[1]
-    summary = PAIRS["summarize"]([(result, result)], {"videos_per_s": "higher"})
+    summary = PAIRS["summarize"]([(result, result)], METRICS)
     assert summary["videos_per_s"]["base"] == {"median": 3.0, "iqr": 0.0, "values": [3.0]}
     assert summary["videos_per_s"]["change_wins"] == 0
+    assert summary["videos_per_s"]["verdict"] == "within bound"
+
+
+BASE = [100.0, 98.0, 102.0, 101.0, 99.0, 100.0, 97.0, 103.0, 100.0, 100.0]  # IQR 1.5
+
+
+@pytest.mark.parametrize("change, better, expected", [
+    ([x + 5 for x in BASE], "higher", "gain"),
+    ([x - 5 for x in BASE], "lower", "gain"),
+    # 9 of 10 wins, but the medians differ by 1.0, inside the base IQR
+    ([x + 1.0 for x in BASE[:9]] + [90.0], "higher", "within bound"),
+    # a 5-point lead won in only 8 of 10 pairs
+    ([x + 5 for x in BASE[:8]] + [90.0, 90.0], "higher", "within bound"),
+    ([x - 30 for x in BASE], "higher", "worse"),
+    ([x + 30 for x in BASE], "lower", "worse"),
+    ([x - 20 for x in BASE], "higher", "within bound"),
+    (list(BASE), "higher", "within bound"),
+], ids=["higher_gain", "lower_gain", "wins_inside_the_iqr", "eight_of_ten",
+        "higher_worse", "lower_worse", "worse_inside_the_bound", "ties"])
+def test_verdict_on_canned_pairs(change, better, expected):
+    assert PAIRS["verdict"](BASE, change, better, 0.25) == expected
+
+
+@pytest.mark.parametrize("base, change, better, expected", [
+    # base median 2.0 and IQR 2.0, wider than the bound of 0.5
+    ([0.0, 0.1, 2.0, 2.1, 2.2], [0.1, 0.2, 2.1, 2.2, 2.3], "higher", "unresolved"),
+    ([0.0, 0.1, 2.0, 2.1, 2.2], [2.3, 2.4, 2.5, 2.6, 2.7], "higher", "within bound"),
+    ([1.8, 1.9, 2.0, 3.9, 4.0], [1.3, 1.4, 1.5, 1.6, 1.7], "lower", "within bound"),
+    ([0.0, 0.1, 2.0, 2.1, 2.2], [0.0, 0.1, 1.4, 2.1, 2.2], "higher", "worse"),
+], ids=["unresolved", "every_run_better_higher", "every_run_better_lower", "worse"])
+def test_spread_wider_than_the_bound_is_unresolved_unless_every_run_is_better(
+        base, change, better, expected):
+    assert PAIRS["verdict"](base, change, better, 0.25) == expected

@@ -98,6 +98,35 @@ def test_ablate_writes_json_and_csv(dataset, workspace, monkeypatch):
     assert set(doc["summary"]) == {r.variant for r in table.rows}
 
 
+def test_every_file_train_eval_and_ablate_write_is_synced(dataset, workspace, monkeypatch):
+    import avloc.cli as cli
+    monkeypatch.setattr(cli, "ABLATE_EPOCHS", 1)
+    synced, fsync = set(), os.fsync
+
+    def recording_fsync(fd):
+        stat = os.fstat(fd)
+        synced.add((stat.st_dev, stat.st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    out = os.path.join(workspace, "synced")
+    assert main(["train", "--manifest", dataset, "--epochs", "1",
+                 "--out", os.path.join(out, "run")]) == 0
+    assert main(["eval", "--manifest", dataset,
+                 "--checkpoint", os.path.join(out, "run", "checkpoint"),
+                 "--report", os.path.join(out, "eval.json")]) == 0
+    assert main(["ablate", "--manifest", dataset, "--seeds", "0,1",
+                 "--out", os.path.join(out, "ablation")]) == 0
+    written = sorted(os.path.relpath(os.path.join(d, f), out)
+                     for d, _, files in os.walk(out) for f in files)
+    assert written == ["ablation/ablation.csv", "ablation/ablation.json", "eval.json",
+                       "run/checkpoint/index.json", "run/checkpoint/params.bin",
+                       "run/report.json"]
+    for path in written:
+        stat = os.stat(os.path.join(out, path))
+        assert (stat.st_dev, stat.st_ino) in synced, path
+
+
 @pytest.mark.parametrize("command,message", [
     (["synth", "--snr", "0"], "snr"),
     (["synth", "--snr", "-1"], "snr"),

@@ -1,5 +1,6 @@
 """Feature file format, manifest handling, and the synthetic generator."""
 
+import hashlib
 import json
 import os
 
@@ -7,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from avloc import autodiff as ad
 from avloc.cli import main
 from avloc.data import (DatasetManifest, FeatureBundle, LabelRecord,
                         ManifestEntry, load_bundle, load_entry, load_manifest,
@@ -50,6 +52,15 @@ def test_two_saves_produce_identical_bytes(tmp_path):
     save_bundle(bundle, p1)
     save_bundle(bundle, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_loaded_bundle_is_read_only_and_goes_on_a_tape_without_a_copy(tmp_path):
+    manifest = small_manifest()
+    path = str(tmp_path / "v.avf")
+    save_bundle(random_bundle(np.random.default_rng(2), manifest), path)
+    bundle = load_bundle(path, manifest, "vid")
+    assert not bundle.audio.flags.writeable and not bundle.visual.flags.writeable
+    assert np.shares_memory(ad.Tape().param(bundle.visual).data, bundle.visual)
 
 
 def test_golden_bytes_for_seed0_bundle(tmp_path):
@@ -253,6 +264,19 @@ def test_same_seed_gives_byte_identical_dataset(tmp_path):
     for name in sorted(os.listdir(d1)):
         assert open(os.path.join(d1, name), "rb").read() == \
             open(os.path.join(d2, name), "rb").read(), name
+
+
+def test_default_dataset_bytes_are_pinned(tmp_path):
+    """sha256 over every file's name and bytes, in name order. At desk dims
+    the digest is the same under 1 and 2 OpenBLAS threads."""
+    synth_dataset(str(tmp_path), seed=0, n_videos=6)
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(tmp_path)):
+        digest.update(name.encode())
+        digest.update((tmp_path / name).read_bytes())
+    assert len(os.listdir(tmp_path)) == 7  # the manifest and six feature files
+    assert digest.hexdigest() == \
+        "3932e0576322e2a1ef239432cbad8c6913710f649c6ace9d0c71711fe53bc2d7"
 
 
 def test_generated_dataset_is_self_consistent(tmp_path):

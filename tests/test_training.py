@@ -13,7 +13,7 @@ import pytest
 from avloc import autodiff as ad
 from avloc import training
 from avloc.cli import main
-from avloc.data import load_entry, synth_dataset
+from avloc.data import FeatureBundle, load_entry, synth_dataset
 from avloc.errors import (AvlocError, ConfigError, ConsistencyError, ContractError,
                           FormatError, TrainingDiverged)
 from avloc.model import Dims, ModelConfig, init_params, predict
@@ -93,17 +93,6 @@ def test_weak_mode_never_trains_the_event_head(tiny_dataset):
     assert not np.array_equal(trained["head.class_weight"], fresh["head.class_weight"])
 
 
-def test_checkpoint_cadence_writes_epoch_directories(tiny_dataset, tmp_path):
-    manifest, base = tiny_dataset
-    out = str(tmp_path / "cadence")
-    cfg = tiny_config(epochs=4, checkpoint_every=2)
-    train(cfg, manifest, base, out_dir=out)
-    assert os.path.isdir(os.path.join(out, "epoch_0002"))
-    assert os.path.isdir(os.path.join(out, "epoch_0004"))
-    loaded, _ = load_checkpoint(os.path.join(out, "epoch_0002"))
-    assert loaded.arrays["head.class_weight"].shape == (16, TINY["classes"])
-
-
 def test_dataset_dims_must_match_config(tiny_dataset):
     manifest, base = tiny_dataset
     cfg = tiny_config()
@@ -115,7 +104,6 @@ def test_dataset_dims_must_match_config(tiny_dataset):
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("epochs", 1.5), ("epochs", True),
     ("batch_size", 0), ("batch_size", 2.5), ("batch_size", "4"),
-    ("checkpoint_every", -1), ("checkpoint_every", 1.5), ("checkpoint_every", None),
     ("learning_rate", 0.0), ("learning_rate", float("nan")),
     ("seed", -1), ("seed", True),
 ])
@@ -190,8 +178,8 @@ def test_finished_tapes_are_freed_without_the_cycle_collector(tiny_dataset, monk
 
 
 def test_batch_step_tapes_its_stacked_inputs_without_a_copy(tiny_dataset, monkeypatch):
-    """The concatenated batch is the tape's input node; a caller's writable
-    features (as in predict) are still copied."""
+    """The concatenated batch, and a loaded bundle in predict, are the tape's
+    input nodes; a caller's writable features are still copied."""
     import avloc.training as training
     from avloc import attention, motion
     manifest, base = tiny_dataset
@@ -224,8 +212,12 @@ def test_batch_step_tapes_its_stacked_inputs_without_a_copy(tiny_dataset, monkey
         assert np.shares_memory(taped[key], given[key]), key
 
     predict(params, cfg, batch[0])
-    assert not np.shares_memory(taped["audio"], batch[0].audio)
-    assert not np.shares_memory(taped["visual"], batch[0].visual)
+    assert np.shares_memory(taped["audio"], batch[0].audio)
+    assert np.shares_memory(taped["visual"], batch[0].visual)
+    writable = FeatureBundle(batch[0].audio.copy(), batch[0].visual.copy(), "copy")
+    predict(params, cfg, writable)
+    assert not np.shares_memory(taped["audio"], writable.audio)
+    assert not np.shares_memory(taped["visual"], writable.visual)
 
 
 def test_short_last_batch_trains_and_epoch_loss_is_the_mean_per_video_loss(
@@ -490,6 +482,13 @@ def test_split_manifest_holds_out_every_fourth_entry(tiny_dataset):
     assert len(train_m.entries) + len(held_m.entries) == len(manifest.entries)
     held_ids = {e.video_id for e in held_m.entries}
     assert held_ids.isdisjoint(e.video_id for e in train_m.entries)
+
+
+def test_ablation_grid_runs_the_motion_table_bottom_up():
+    assert ABLATION_VARIANTS == [("no_motion", "off", False),
+                                 ("future_only", "future_only", False),
+                                 ("pfme_wo_temporal_attention", "pfme", False),
+                                 ("pfme_w_temporal_attention", "pfme", True)]
 
 
 def test_ablate_produces_four_variant_rows_and_round_trips(tiny_dataset):

@@ -11,9 +11,10 @@ Run it from the root of the repository.
 
 The output JSON holds both commits, the host as the runs' `# env` lines
 report it, and for each workload and end-to-end metric both sides' values,
-medians and interquartile ranges and the number of pairs the change won
-(strictly better in the metric's direction from BENCHMARK.json). It is
-rewritten after every pair, so a stopped run keeps the pairs it finished.
+medians and interquartile ranges, the number of pairs the change won
+(strictly better in the metric's direction from BENCHMARK.json) and a
+verdict (see `verdict`), which the run prints when it ends. It is rewritten
+after every pair, so a stopped run keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -51,17 +52,46 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "values": values}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
-    """Per metric of one workload's (base result, change result) pairs."""
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """One metric's verdict over paired runs, `bound` being the fraction of
+    the base median by which the change may be worse.
+
+    - "gain": the change wins at least 9 in 10 of the pairs (a tie wins for
+      neither side) and its median is better than the base's by more than
+      the interquartile range of the base runs;
+    - "worse": its median is worse than the base's by more than the bound;
+    - "unresolved": the base runs' interquartile range is wider than the
+      bound, unless every change run is better than every base run;
+    - "within bound" otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    b, c = _spread(base), _spread(change)
+    ahead = sign * (c["median"] - b["median"])
+    limit = bound * abs(b["median"])
+    wins = sum(sign * (y - x) > 0 for x, y in zip(base, change))
+    if wins >= 0.9 * len(base) and ahead > b["iqr"]:
+        return "gain"
+    if -ahead > limit:
+        return "worse"
+    if b["iqr"] > limit and not min(sign * y for y in change) > max(sign * x for x in base):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
+    """Per metric of one workload's (base result, change result) pairs;
+    `metrics` holds BENCHMARK.json's end-to-end entries by name."""
     out = {}
     for name, first in pairs[0][0]["metrics"].items():
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
-        sign = 1 if better.get(name, "lower") == "higher" else -1
-        out[name] = {"unit": first["unit"], "better": better.get(name, "lower"),
+        better, bound = metrics[name]["better"], metrics[name]["bound"]
+        sign = 1 if better == "higher" else -1
+        out[name] = {"unit": first["unit"], "better": better, "bound": bound,
                      "base": _spread(base), "change": _spread(change),
                      "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
-                     "ties": sum(c == b for b, c in zip(base, change))}
+                     "ties": sum(c == b for b, c in zip(base, change)),
+                     "verdict": verdict(base, change, better, bound)}
     out["failed_operations"] = {"base": sum(b["failed"] for b, _ in pairs),
                                 "change": sum(c["failed"] for _, c in pairs)}
     return out
@@ -102,7 +132,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
 
     doc = {"base": {"rev": args.base, "commit": _git("rev-parse", args.base)},
            "change": {"commit": _git("rev-parse", "HEAD"),
@@ -126,7 +156,7 @@ def main(argv=None) -> int:
                 pairs.append((runs["base"][1], runs["change"][1]))
                 seeds.append(seed)
                 doc["workloads"][workload] = {"pairs": len(pairs), "seeds": seeds,
-                                              "metrics": summarize(pairs, better)}
+                                              "metrics": summarize(pairs, metrics)}
                 with open(args.out, "w", encoding="utf-8") as f:
                     json.dump(doc, f, indent=1)
                 print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
@@ -134,6 +164,12 @@ def main(argv=None) -> int:
                     for side in ("base", "change")), flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    for workload, result in doc["workloads"].items():
+        for name, m in result["metrics"].items():
+            if name != "failed_operations":
+                print(f"{workload} {name}: {m['verdict']} (median {m['base']['median']:.6g} "
+                      f"-> {m['change']['median']:.6g}, base IQR {m['base']['iqr']:.3g}, "
+                      f"change won {m['change_wins']}/{result['pairs']})")
     return 0
 
 
