@@ -33,6 +33,7 @@ from .data import _is_int
 from .errors import ConfigError, ContractError, ShapeError
 
 MAX_RANK = 4
+LOG_FLOOR = 1e-12  # log_clamped's floor
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
@@ -341,55 +342,36 @@ def _im2col(X: np.ndarray, k: int) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(T * h * w, k * k * c_in)
 
 
-def _per_tap_kernel_grad(X: np.ndarray, g_rows: np.ndarray, k: int) -> np.ndarray:
-    """conv2d's kernel gradient as one product per tap over the input window
-    under it: a shifted copy of the input rows with the rows over the
-    padding zeroed; the centre window is the input itself."""
-    _, _, w, c_in = X.shape
-    pad = k // 2
-    x_rows = X.reshape(-1, c_in)
-    gk = np.empty((k, k, c_in, g_rows.shape[1]), dtype=X.dtype)
-    for di in range(k):
-        for dj in range(k):
-            oi, oj = di - pad, dj - pad
-            window = x_rows
-            if oi or oj:
-                window = np.empty_like(x_rows)
-                to, frm = _row_shift(len(x_rows), oi * w + oj)
-                window[to] = x_rows[frm]
-                # the rows the shift leaves unwritten are among these
-                _zero_edges(window.reshape(X.shape), oi, oj)
-            gk[di, dj] = window.T @ g_rows
-    return gk
-
-
 def _conv_kernel_grads(X: np.ndarray, gs: Sequence[np.ndarray], k: int) -> list[np.ndarray]:
     """conv2d's kernel gradient for each output gradient in gs, all of them
-    of k x k convs of the same input X.
+    of k x k convs of the same input X, from one im2col of X (X's own rows
+    for a 1x1 kernel) that all of gs share.
 
-    With c_in and c_out both >= 2 each gradient is one product against one
-    im2col of X, which all of gs share, with the k*k taps along the
-    product's columns. A value then sums the same products over the same
-    rows as a per-tap product, but BLAS may run the two products through
-    other kernels, and their bits agree only at some sizes (see the README's
-    motion section): the desk model's kernel gradients keep the per-tap
-    bits in mini-batches of 32 videos but not of 5-10. A product with one
-    channel on either side is a GEMV, whose sums depend on how the taps are
-    laid out, and a 1x1 kernel's one window is X itself: those keep the
-    per-tap products.
+    With k > 1 and c_in and c_out both >= 2 each gradient is one product
+    against it, with the k*k taps along the product's columns. A value then
+    sums the same products over the same rows as a per-tap product, but BLAS
+    may run the two products through other kernels, and their bits agree
+    only at some sizes (see the README's motion section): the desk model's
+    kernel gradients keep the per-tap bits in mini-batches of 32 videos but
+    not of 5-10. A product with one channel on either side is a GEMV, whose
+    sums depend on how the taps are laid out, and a 1x1 kernel has one tap:
+    those take one product per tap, over a contiguous copy of the tap's
+    columns.
     """
     c_in = X.shape[3]
-    cols = None
+    cols = _im2col(X, k) if k > 1 else X.reshape(-1, c_in)
     out = []
     for g in gs:
         c_out = g.shape[-1]
         g_rows = g.reshape(-1, c_out)
         if k > 1 and c_in >= 2 and c_out >= 2:
-            if cols is None:
-                cols = _im2col(X, k)
             out.append((g_rows.T @ cols).reshape(c_out, k, k, c_in).transpose(1, 2, 3, 0))
-        else:
-            out.append(_per_tap_kernel_grad(X, g_rows, k))
+            continue
+        gk = np.empty((k * k, c_in, c_out), dtype=X.dtype)
+        for tap in range(k * k):
+            window = np.ascontiguousarray(cols[:, tap * c_in:(tap + 1) * c_in])
+            gk[tap] = window.T @ g_rows
+        out.append(gk.reshape(k, k, c_in, c_out))
     return out
 
 
@@ -464,13 +446,13 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return x.tape._record(s.reshape(x.shape), (x.node_id,), backward)
 
 
-def log_clamped(x: Tensor, floor: float = 1e-12) -> Tensor:
-    """log with the argument clamped at `floor`; gradient is zero below it."""
+def log_clamped(x: Tensor) -> Tensor:
+    """log with the argument clamped at LOG_FLOOR; gradient is zero below it."""
     X = x.data
-    clamped = np.maximum(X, floor)
+    clamped = np.maximum(X, LOG_FLOOR)
 
     def backward(g):
-        return (np.where(X > floor, g / clamped, 0.0),)
+        return (np.where(X > LOG_FLOOR, g / clamped, 0.0),)
 
     return x.tape._record(np.log(clamped), (x.node_id,), backward)
 

@@ -9,7 +9,8 @@ A feature file holds two consecutive blocks, audio first. Each block is:
     extent little-endian u32, `rank` of them
     data   product(extents) little-endian f32 values
 
-Audio is (T, d_a) and visual is (T, h, w, d_v). A dataset is a directory of
+Audio is (T, d_a) and visual is (T, h, w, d_v). A checkpoint's params.bin
+is the same container, one block per parameter. A dataset is a directory of
 feature files plus a UTF-8 JSON manifest (paths relative to the manifest)
 declaring the shared dimensions and per-video labels.
 
@@ -24,6 +25,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from typing import Iterable
 
 import numpy as np
 
@@ -257,7 +259,7 @@ def load_manifest(path: str) -> DatasetManifest:
 # binary blocks
 
 
-def write_block(f, arr: np.ndarray) -> None:
+def _write_block(f, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr, dtype="<f4")
     f.write(MAGIC)
     f.write(np.uint32(arr.ndim).astype("<u4").tobytes())
@@ -272,7 +274,7 @@ def _read_exact(f, n: int, path: str, what: str) -> bytes:
     return buf
 
 
-def read_block(f, path: str, expect_shape: tuple[int, ...] | None = None) -> np.ndarray:
+def _read_block(f, path: str, shape: tuple[int, ...]) -> np.ndarray:
     magic = _read_exact(f, 4, path, "magic bytes")
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
@@ -283,27 +285,39 @@ def read_block(f, path: str, expect_shape: tuple[int, ...] | None = None) -> np.
         int(n) for n in np.frombuffer(_read_exact(f, 4 * rank, path, "extents"), dtype="<u4"))
     if any(n < 1 for n in extents):
         raise FormatError(f"{path}: block declares zero extent {extents}")
-    if expect_shape is not None and extents != tuple(expect_shape):
+    if extents != tuple(shape):
         raise ConsistencyError(
-            f"{path}: block header declares {extents}, expected {tuple(expect_shape)}")
+            f"{path}: block header declares {extents}, expected {tuple(shape)}")
     count = int(np.prod(extents, dtype=np.int64))
     payload = _read_exact(f, 4 * count, path, f"payload of {count} values")
     return np.frombuffer(payload, dtype="<f4").reshape(extents)  # read-only, no copy
 
 
+def write_blocks(path: str, arrays: Iterable[np.ndarray]) -> None:
+    """Write the arrays as consecutive blocks; synced to disk before returning."""
+    with synced_open(path, "wb") as f:
+        for arr in arrays:
+            _write_block(f, arr)
+
+
+def read_blocks(path: str, shapes: Iterable[tuple[int, ...]]) -> list[np.ndarray]:
+    """The file's blocks, one per shape and each checked against it, with
+    nothing after the last."""
+    with open(path, "rb") as f:
+        arrays = [_read_block(f, path, shape) for shape in shapes]
+        if f.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last block")
+    return arrays
+
+
 def save_bundle(bundle: FeatureBundle, path: str) -> None:
     """Write audio then visual blocks; synced to disk before returning."""
-    with synced_open(path, "wb") as f:
-        write_block(f, bundle.audio)
-        write_block(f, bundle.visual)
+    write_blocks(path, (bundle.audio, bundle.visual))
 
 
 def load_bundle(path: str, manifest: DatasetManifest, video_id: str = "") -> FeatureBundle:
     """Read one feature file, checking every block against the manifest dims."""
-    with open(path, "rb") as f:
-        audio, visual = [read_block(f, path, shape) for shape in manifest.shapes()]
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after the visual block")
+    audio, visual = read_blocks(path, manifest.shapes())
     return FeatureBundle(audio=audio, visual=visual, video_id=video_id)
 
 
@@ -370,10 +384,13 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
     manifest.validate()
     if not snr > 0:
         raise ContractError(f"snr must be positive, got {snr}")
-    if n_videos < 0:
-        raise ContractError(f"n_videos must be >= 0, got {n_videos}")
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
+    for name, value in (("seed", seed), ("n_videos", n_videos)):
+        if not (_is_int(value) and value >= 0):
+            raise ContractError(f"{name} must be an int >= 0, got {value!r}")
+    for name, value in (("distractor_prob", distractor_prob),
+                        ("background_fraction", background_fraction)):
+        if not 0 <= value <= 1:  # NaN fails both comparisons
+            raise ContractError(f"{name} must be in [0, 1], got {value!r}")
     noise_scale = 0.0 if np.isinf(snr) else 1.0 / float(snr)
     classes, T = manifest.classes, manifest.T
     audio_shape, visual_shape = manifest.shapes()

@@ -19,8 +19,6 @@ import numpy as np
 from . import autodiff as ad
 from .errors import LabelError, ShapeError
 
-LOG_FLOOR = 1e-12
-
 
 @dataclass
 class Prediction:
@@ -114,15 +112,16 @@ def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
     Class term: cross entropy of the (1, C) distribution against the one-hot
     video class. Event term: binary cross entropy of the (T, 1) relevance
     scores against 0/1 segment relevance, averaged over T so the two terms
-    stay comparable whatever T is. Logs are clamped at 1e-12. `video_class`
-    holds one class per video of the tape, and each term is the mean over
-    the videos. A background-only video (class C) adds nothing to the class
-    term's sum, which is still divided by the count of all the videos.
+    stay comparable whatever T is. Logs are clamped at `ad.LOG_FLOOR`.
+    `video_class` holds one class per video of the tape, and each term is
+    the mean over the videos. A background-only video (class C) adds nothing
+    to the class term's sum, which is still divided by the count of all the
+    videos.
     """
     tape = class_probs.tape
     (videos, classes), rows = class_probs.shape, event_scores.shape[0]
     onehot = _one_hot(tape, video_class, classes, classes)
-    class_term = ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(class_probs, LOG_FLOOR))),
+    class_term = ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(class_probs))),
                           -1.0 / videos)
 
     y = np.asarray(segment_relevance, dtype=float).reshape(rows, 1)
@@ -130,8 +129,8 @@ def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
     not_y = tape.leaf(1.0 - y)
     ones = tape.leaf(np.ones((rows, 1)))
     complement = ad.sub(ones, event_scores)
-    per_segment = ad.add(ad.mul(y_t, ad.log_clamped(event_scores, LOG_FLOOR)),
-                         ad.mul(not_y, ad.log_clamped(complement, LOG_FLOOR)))
+    per_segment = ad.add(ad.mul(y_t, ad.log_clamped(event_scores)),
+                         ad.mul(not_y, ad.log_clamped(complement)))
     event_term = ad.scale(ad.sum_all(per_segment), -1.0 / rows)
     return ad.add(class_term, event_term), class_term, event_term
 
@@ -157,5 +156,5 @@ def weak_aggregate_loss(segment_logits: ad.Tensor,
     video_logits = ad.sum_time(segment_logits)                  # (1, C+1)
     probs = ad.softmax(video_logits, axis=1)
     onehot = _one_hot(segment_logits.tape, video_class, probs.shape[1] - 1, probs.shape[1])
-    return ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(probs, LOG_FLOOR))),
+    return ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(probs))),
                     -1.0 / probs.shape[0])

@@ -206,7 +206,6 @@ class ForwardPass:
     tape of B videos gives B*T rows (B rows for class_probs)."""
 
     leaves: dict[str, ad.Tensor]
-    fused: ad.Tensor                  # (T, 2*d_m)
     class_probs: ad.Tensor            # (1, n_out)
     event_scores: ad.Tensor           # (T, 1)
     segment_logits: ad.Tensor | None  # (T, n_out), weak mode only
@@ -265,7 +264,7 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
         if cfg.mode == "weak" else None
     stages["classifier"] = class_probs
 
-    return ForwardPass(leaves=leaves, fused=fused, class_probs=class_probs,
+    return ForwardPass(leaves=leaves, class_probs=class_probs,
                        event_scores=event_scores, segment_logits=segment_logits,
                        stages=stages)
 

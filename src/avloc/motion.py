@@ -127,7 +127,7 @@ VARIANTS = {
 
 
 def check_mode(mode: str) -> None:
-    if mode not in VARIANTS:
+    if not (isinstance(mode, str) and mode in VARIANTS):
         raise ConfigError(f"motion must be one of {tuple(VARIANTS)}, got {mode!r}")
 
 

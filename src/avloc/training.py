@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import heads, motion
 from .data import (DatasetManifest, FeatureBundle, LabelRecord, _is_int, load_entry,
-                   read_block, synced_open, write_block)
+                   read_blocks, synced_open, write_blocks)
 from .errors import ConfigError, ConsistencyError, ContractError, FormatError, TrainingDiverged
 from .model import (ForwardPass, ModelConfig, ModelParams, _freeze, init_params,
                     param_table, predict, run_forward)
@@ -62,12 +62,6 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MetricsReport":
-        return cls(losses=list(doc["losses"]), accuracy=doc["accuracy"],
-                   per_class=dict(doc["per_class"]), config=dict(doc["config"]),
-                   wall_time_s=doc["wall_time_s"])
 
 
 class Adam:
@@ -248,9 +242,7 @@ def save_checkpoint(ckpt_dir: str, params: ModelParams, cfg: ModelConfig) -> Non
     """One binary container of consecutive tensor blocks plus a JSON index."""
     os.makedirs(ckpt_dir, exist_ok=True)
     items = params.items()
-    with synced_open(os.path.join(ckpt_dir, "params.bin"), "wb") as f:
-        for _, arr in items:
-            write_block(f, arr)
+    write_blocks(os.path.join(ckpt_dir, "params.bin"), (arr for _, arr in items))
     index = {
         "format": CHECKPOINT_VERSION,
         "seed": params.seed,
@@ -282,13 +274,8 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ModelParams, ModelConfig]:
     if stored != table:
         raise ConsistencyError(f"{index_path}: parameter list does not match "
                                "this configuration")
-    bin_path = os.path.join(ckpt_dir, "params.bin")
-    with open(bin_path, "rb") as f:
-        params = ModelParams({name: read_block(f, bin_path, shape)
-                              for name, shape in table}, seed)
-        if f.read(1):
-            raise FormatError(f"{bin_path}: trailing bytes after the last block")
-    return params, cfg
+    arrays = read_blocks(os.path.join(ckpt_dir, "params.bin"), (shape for _, shape in table))
+    return ModelParams({name: arr for (name, _), arr in zip(table, arrays)}, seed), cfg
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +301,13 @@ class AblationTable:
     rows: list[AblationRow]
 
     def summary(self) -> dict[str, dict[str, float]]:
+        """Mean and sd of accuracy per variant, in ABLATION_VARIANTS order;
+        a variant without rows is left out."""
         out: dict[str, dict[str, float]] = {}
         for variant, _, _ in ABLATION_VARIANTS:
             acc = np.array([r.accuracy for r in self.rows if r.variant == variant])
+            if not len(acc):
+                continue
             out[variant] = {"mean": float(acc.mean()),
                             "sd": float(acc.std(ddof=1)) if len(acc) > 1 else 0.0}
         return out
@@ -334,20 +325,6 @@ class AblationTable:
         for r in self.rows:
             writer.writerow([r.variant, r.seed, repr(r.accuracy)])
         return buf.getvalue()
-
-    @classmethod
-    def from_json(cls, text: str) -> "AblationTable":
-        doc = json.loads(text)
-        return cls(rows=[AblationRow(**r) for r in doc["rows"]])
-
-    @classmethod
-    def from_csv(cls, text: str) -> "AblationTable":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != ["variant", "seed", "accuracy"]:
-            raise FormatError(f"unexpected ablation CSV header {header}")
-        return cls(rows=[AblationRow(variant=v, seed=int(s), accuracy=float(a))
-                         for v, s, a in reader])
 
 
 def split_manifest(manifest: DatasetManifest) -> tuple[DatasetManifest, DatasetManifest]:

@@ -98,7 +98,7 @@ def test_acceptance_closed_form_invariants():
         fwd = run_forward(t4, params, audio, visual, cfg)
         if fwd.stages["visual_spatial"].shape != (d.T, d.d_v):
             failures.append(f"draw {draw}: spatial output shape")
-        if fwd.fused.shape != (d.T, 2 * d.relation):
+        if fwd.stages["interaction"].shape != (d.T, 2 * d.relation):
             failures.append(f"draw {draw}: fused shape")
         probs = fwd.class_probs.data
         if probs.min() < 0 or abs(probs.sum() - 1.0) >= 1e-6:

@@ -90,3 +90,16 @@ def test_verdict_on_canned_pairs(change, better, expected):
 def test_spread_wider_than_the_bound_is_unresolved_unless_every_run_is_better(
         base, change, better, expected):
     assert PAIRS["verdict"](base, change, better, 0.25) == expected
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    for tree, files in (("base", {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/b.py": "z\n"}),
+                        ("change", {"src/pkg/a.py": "x = 1\n", "src/pkg/sub/c.py": "1\n2\n3\n",
+                                    "src/pkg/notes.txt": "not\ncounted\n",
+                                    "tests/test_a.py": "not counted\n"})):
+        for name, text in files.items():
+            path = tmp_path / tree / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    assert PAIRS["src_lines"](str(tmp_path / "base")) == 3
+    assert PAIRS["src_lines"](str(tmp_path / "change")) == 4

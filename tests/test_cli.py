@@ -1,12 +1,13 @@
 """End-to-end command-line flows on a miniature dataset."""
 
+import csv
 import json
 import os
 
 import pytest
 
 from avloc.cli import main
-from avloc.training import AblationTable
+from avloc.training import ABLATION_VARIANTS
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +93,14 @@ def test_ablate_writes_json_and_csv(dataset, workspace, monkeypatch):
     out = os.path.join(workspace, "ablation")
     code = main(["ablate", "--manifest", dataset, "--seeds", "0,1", "--out", out])
     assert code == 0
-    table = AblationTable.from_csv(open(os.path.join(out, "ablation.csv")).read())
-    assert len(table.rows) == 8  # 4 variants x 2 seeds
+    with open(os.path.join(out, "ablation.csv"), newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["variant", "seed", "accuracy"]
+    assert len(rows) == 8  # 4 variants x 2 seeds
     doc = json.loads(open(os.path.join(out, "ablation.json")).read())
-    assert set(doc["summary"]) == {r.variant for r in table.rows}
+    assert [[r["variant"], r["seed"], r["accuracy"]] for r in doc["rows"]] == \
+        [[v, int(s), float(a)] for v, s, a in rows]
+    assert list(doc["summary"]) == [v for v, _, _ in ABLATION_VARIANTS]
 
 
 def test_every_file_train_eval_and_ablate_write_is_synced(dataset, workspace, monkeypatch):

@@ -358,6 +358,18 @@ def test_background_fraction_produces_valid_negative_videos(tmp_path):
         load_entry(manifest, entry, str(tmp_path))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(seed=1.5), dict(seed=True), dict(seed=-1), dict(n_videos=2.5), dict(n_videos=-1),
+    dict(background_fraction=2.0), dict(background_fraction=float("nan")),
+    dict(distractor_prob=-1.0), dict(distractor_prob=float("nan")),
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_generator_rejects_bad_arguments_before_writing(tmp_path, bad):
+    out = str(tmp_path / "out")
+    with pytest.raises(ContractError, match=next(iter(bad))):
+        synth_dataset(out, **{"seed": 0, "n_videos": 2, **bad})
+    assert not os.path.exists(out)
+
+
 def test_generator_rejects_bad_dims(tmp_path):
     out = str(tmp_path / "out")
     with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from avloc import autodiff as ad
@@ -34,7 +34,7 @@ def test_shape_trace_through_the_whole_pipeline():
     bundle = default_bundle(0, cfg)
     tape = ad.Tape()
     fwd = run_forward(tape, params, bundle.audio, bundle.visual, cfg)
-    assert fwd.fused.shape == (10, 128)
+    assert fwd.stages["interaction"].shape == (10, 128)
     assert fwd.event_scores.shape == (10, 1)
     assert fwd.class_probs.shape == (1, 4)
     pred = predict(params, cfg, bundle)
@@ -235,8 +235,10 @@ def _padded_grid_input_grad(g, K, h, w):
 
 
 def _window_kernel_grad(X, g, k):
-    """conv2d's kernel gradient as one product per tap over the window of
-    the zero-padded input under it."""
+    """conv2d's kernel gradient as one product per tap over a contiguous
+    copy of the window of the zero-padded input under it. Where a reshape
+    can view the window in place (w = c_in = 1), numpy multiplies the
+    strided view through another loop than BLAS, with other bits."""
     T, h, w, c_in = X.shape
     pad = k // 2
     Xp = np.zeros((T, h + 2 * pad, w + 2 * pad, c_in), dtype=X.dtype)
@@ -245,7 +247,8 @@ def _window_kernel_grad(X, g, k):
     gk = np.empty((k, k, c_in, g.shape[3]), dtype=X.dtype)
     for di in range(k):
         for dj in range(k):
-            gk[di, dj] = Xp[:, di:di + h, dj:dj + w].reshape(-1, c_in).T @ g_rows
+            window = np.ascontiguousarray(Xp[:, di:di + h, dj:dj + w].reshape(-1, c_in))
+            gk[di, dj] = window.T @ g_rows
     return gk
 
 
@@ -261,11 +264,36 @@ def _signed_zero_normal(rng, shape):
 @given(T=st.integers(1, 5), h=st.integers(1, 5), w=st.integers(1, 5),
        k=st.sampled_from([1, 3, 5]), c_in=st.sampled_from([1, 2, 5]),
        c_out=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1))
+@example(T=320, h=3, w=3, k=3, c_in=1, c_out=32, seed=1)
+@example(T=20, h=7, w=7, k=1, c_in=512, c_out=1, seed=3)
 def test_conv2d_is_bitwise_its_reference_computations(T, h, w, k, c_in, c_out, seed):
     """Forward, input gradient and kernel gradient against the per-window-row
     forward, the padded-grid input gradient and the padded-input windows,
     bit for bit, on every shape class: a frame smaller than the kernel gives
-    taps that lie wholly outside it and row shifts longer than all T*h*w rows."""
+    taps that lie wholly outside it and row shifts longer than all T*h*w rows.
+    The examples are one-channel products (GEMVs, whose sums depend on the
+    row count) over 2,880 and 980 rows, more than the drawn shapes reach."""
+    X, K, g, out, gx, gk = _conv_and_gradients(T, h, w, k, c_in, c_out, seed)
+    assert out.tobytes() == _per_row_block_conv(X, K).tobytes()
+    assert gx.tobytes() == _padded_grid_input_grad(g, K, h, w).tobytes()
+    assert gk.tobytes() == _window_kernel_grad(X, g, k).tobytes()
+
+
+def test_one_output_channel_conv_gradients_are_bitwise_at_2880_rows():
+    """A 3x3 conv of 32 channels to one, over 2,880 rows: both gradients
+    against their references, bit for bit. Its forward is not the
+    per-window-row computation's bits at this shape: a window row's GEMV
+    sum depends on where the row sits in its block of w rows, and the tap
+    sum multiplies the input's rows, not the padded windows'. No conv of
+    the model has k > 1 and one output channel."""
+    X, K, g, _, gx, gk = _conv_and_gradients(320, 3, 3, 3, 32, 1, seed=2)
+    assert gx.tobytes() == _padded_grid_input_grad(g, K, 3, 3).tobytes()
+    assert gk.tobytes() == _window_kernel_grad(X, g, 3).tobytes()
+
+
+def _conv_and_gradients(T, h, w, k, c_in, c_out, seed):
+    """Signed-zero draws of the input X, kernel K and output gradient g, and
+    conv2d's output and input and kernel gradients for them."""
     rng = np.random.default_rng(seed)
     X = _signed_zero_normal(rng, (T, h, w, c_in))
     K = _signed_zero_normal(rng, (k, k, c_in, c_out))
@@ -275,9 +303,7 @@ def test_conv2d_is_bitwise_its_reference_computations(T, h, w, k, c_in, c_out, s
     out = ad.conv2d(x, kernel)
     loss = ad.sum_all(ad.mul(out, tape.leaf(g)))  # the gradient reaching out is g
     gx, gk = tape.backward(loss, [x, kernel])
-    assert out.data.tobytes() == _per_row_block_conv(X, K).tobytes()
-    assert gx.tobytes() == _padded_grid_input_grad(g, K, h, w).tobytes()
-    assert gk.tobytes() == _window_kernel_grad(X, g, k).tobytes()
+    return X, K, g, out.data, gx, gk
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +353,8 @@ def test_batched_forward_and_mean_gradient_match_per_video_in_f64(
                             rtol=0, atol=1e-10)
         npt.assert_allclose(fwd.event_scores.data[rows], one.event_scores.data,
                             rtol=0, atol=1e-10)
-        npt.assert_allclose(fwd.fused.data[rows], one.fused.data, rtol=0, atol=1e-10)
+        npt.assert_allclose(fwd.stages["interaction"].data[rows],
+                            one.stages["interaction"].data, rtol=0, atol=1e-10)
         if mode == "weak":
             npt.assert_allclose(fwd.segment_logits.data[rows], one.segment_logits.data,
                                 rtol=0, atol=1e-10)
@@ -348,12 +375,14 @@ def test_perturbing_one_video_leaves_the_others_in_the_batch_unchanged():
     audio[T:2 * T] += 1.0
     visual[T:2 * T] *= -2.0
     after = run_forward(ad.Tape(videos=3), params, audio, visual, cfg)
+    fused_after = after.stages["interaction"].data
+    fused_before = before.stages["interaction"].data
     for i in (0, 2):
         rows = slice(i * T, (i + 1) * T)
         npt.assert_array_equal(after.class_probs.data[i], before.class_probs.data[i])
         npt.assert_array_equal(after.event_scores.data[rows], before.event_scores.data[rows])
-        npt.assert_array_equal(after.fused.data[rows], before.fused.data[rows])
-    assert not np.array_equal(after.fused.data[T:2 * T], before.fused.data[T:2 * T])
+        npt.assert_array_equal(fused_after[rows], fused_before[rows])
+    assert not np.array_equal(fused_after[T:2 * T], fused_before[T:2 * T])
 
 
 def test_every_video_of_a_batch_has_exact_zero_boundary_motion():

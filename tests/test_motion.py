@@ -265,5 +265,6 @@ def test_motion_feature_modes_zero_what_they_leave_out():
     npt.assert_array_equal(motion.motion_feature(visual, p, "future_only").data,
                            motion.fuse_and_pool(future_only, p["out_map"]).data)
     npt.assert_array_equal(motion.motion_feature(visual, p, "off").data, np.zeros((4, 2)))
-    with pytest.raises(ConfigError, match="motion"):
-        motion.motion_feature(visual, p, "past_only")
+    for bad in ("past_only", [], {}, None):
+        with pytest.raises(ConfigError, match="motion"):
+            motion.motion_feature(visual, p, bad)

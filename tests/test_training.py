@@ -1,7 +1,9 @@
 """Training loop, evaluation, checkpoints, ablation machinery."""
 
 import copy
+import csv
 import gc
+import io
 import json
 import os
 import weakref
@@ -18,7 +20,7 @@ from avloc.errors import (AvlocError, ConfigError, ConsistencyError, ContractErr
                           FormatError, TrainingDiverged)
 from avloc.model import Dims, ModelConfig, init_params, predict
 from avloc.training import (ABLATION_VARIANTS, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
-                            Adam, AblationTable, MetricsReport,
+                            Adam, AblationRow, AblationTable,
                             TrainConfig, _batch_loss, ablate, evaluate,
                             load_checkpoint, save_checkpoint, split_manifest, train)
 
@@ -416,6 +418,8 @@ def _edit_index(edit):
 
 @pytest.mark.parametrize("corrupt, error, match", [
     pytest.param(_truncate_params, AvlocError, None, id="truncated_params"),
+    pytest.param(lambda ckpt: open(os.path.join(ckpt, "params.bin"), "ab").write(b"junk"),
+                 FormatError, "trailing bytes", id="trailing_params_bytes"),
     pytest.param(_edit_index(lambda ix: ix["config"].update(colour="red")),
                  ConfigError, "colour", id="unknown_config_key"),
     pytest.param(_edit_index(lambda ix: ix.pop("seed")),
@@ -434,6 +438,10 @@ def _edit_index(edit):
                  FormatError, "parameter list", id="missing_params"),
     pytest.param(lambda ckpt: json.dump([], open(os.path.join(ckpt, "index.json"), "w")),
                  FormatError, "index", id="index_not_an_object"),
+    pytest.param(_edit_index(lambda ix: ix["config"].update(motion=[])),
+                 ConfigError, "motion", id="unhashable_motion_list"),
+    pytest.param(_edit_index(lambda ix: ix["config"].update(motion={})),
+                 ConfigError, "motion", id="unhashable_motion_dict"),
 ])
 def test_corrupt_checkpoint_is_a_typed_error(tiny_dataset, tmp_path, corrupt, error, match):
     manifest, base = tiny_dataset
@@ -466,9 +474,8 @@ def test_training_writes_report_and_checkpoint(tiny_dataset, tmp_path):
     _, report = train(tiny_config(epochs=2), manifest, base, out_dir=out)
     assert os.path.exists(os.path.join(out, "checkpoint", "params.bin"))
     doc = json.load(open(os.path.join(out, "report.json")))
-    replayed = MetricsReport.from_dict(doc)
-    assert replayed.losses == report.losses
-    assert replayed.accuracy == report.accuracy
+    assert doc == json.loads(json.dumps(report.to_dict()))
+    assert doc["losses"] == report.losses and doc["accuracy"] == report.accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +506,26 @@ def test_ablate_produces_four_variant_rows_and_round_trips(tiny_dataset):
     assert len(table.rows) == len(variants) * 2
     assert set(table.summary()) == set(variants)
 
-    # lossless round trips through both serializations
-    from_json = AblationTable.from_json(table.to_json())
-    assert from_json.rows == table.rows
-    from_csv = AblationTable.from_csv(table.to_csv())
-    assert from_csv.rows == table.rows
-    header = table.to_csv().splitlines()[0]
-    assert header == "variant,seed,accuracy"
+    # both serializations hold every row losslessly
+    rows = [[r.variant, r.seed, r.accuracy] for r in table.rows]
+    doc = json.loads(table.to_json())
+    assert [[r["variant"], r["seed"], r["accuracy"]] for r in doc["rows"]] == rows
+    assert doc["summary"] == table.summary()
+    header, *lines = csv.reader(io.StringIO(table.to_csv()))
+    assert header == ["variant", "seed", "accuracy"]
+    assert [[v, int(s), float(a)] for v, s, a in lines] == rows
+
+
+def test_ablation_summary_leaves_out_variants_without_rows():
+    table = AblationTable(rows=[AblationRow("no_motion", 0, 0.5),
+                                AblationRow("no_motion", 1, 0.75)])
+    assert list(table.summary()) == ["no_motion"]
+
+    def no_constants(name):
+        raise AssertionError(f"to_json wrote {name}, which is not JSON")
+
+    doc = json.loads(table.to_json(), parse_constant=no_constants)
+    assert doc["summary"] == {"no_motion": {"mean": 0.625, "sd": np.std([0.5, 0.75], ddof=1)}}
 
 
 def test_ablate_requires_two_seeds(tiny_dataset):

@@ -9,12 +9,14 @@ archive` into a temporary directory, which is removed when the runs end;
 the change side is the working tree as it is, uncommitted edits included.
 Run it from the root of the repository.
 
-The output JSON holds both commits, the host as the runs' `# env` lines
+The output JSON holds both commits, the line count of each side's
+`src/**/*.py` and their difference, the host as the runs' `# env` lines
 report it, and for each workload and end-to-end metric both sides' values,
 medians and interquartile ranges, the number of pairs the change won
 (strictly better in the metric's direction from BENCHMARK.json) and a
-verdict (see `verdict`), which the run prints when it ends. It is rewritten
-after every pair, so a stopped run keeps the pairs it finished.
+verdict (see `verdict`). The run prints the verdicts and the line change
+when it ends. The file is rewritten after every pair, so a stopped run
+keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -97,6 +99,17 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def src_lines(tree: str) -> int:
+    """Lines of the Python files under the tree's src/, as `wc -l` counts them."""
+    total = 0
+    for root, _, files in os.walk(os.path.join(tree, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), "rb") as f:
+                    total += f.read().count(b"\n")
+    return total
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -143,6 +156,9 @@ def main(argv=None) -> int:
     try:
         _export(args.base, scratch)
         trees = {"base": scratch, "change": ROOT}
+        for side, tree in trees.items():
+            doc[side]["src_lines"] = src_lines(tree)
+        doc["src_lines_change"] = doc["change"]["src_lines"] - doc["base"]["src_lines"]
         for workload in workloads:
             pairs, seeds = [], []
             for i in range(args.pairs):
@@ -170,6 +186,8 @@ def main(argv=None) -> int:
                 print(f"{workload} {name}: {m['verdict']} (median {m['base']['median']:.6g} "
                       f"-> {m['change']['median']:.6g}, base IQR {m['base']['iqr']:.3g}, "
                       f"change won {m['change_wins']}/{result['pairs']})")
+    print(f"src/ lines: {doc['base']['src_lines']} -> {doc['change']['src_lines']} "
+          f"({doc['src_lines_change']:+d})")
     return 0
 
 
