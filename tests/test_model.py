@@ -238,7 +238,8 @@ def _window_kernel_grad(X, g, k):
     """conv2d's kernel gradient as one product per tap over a contiguous
     copy of the window of the zero-padded input under it. Where a reshape
     can view the window in place (w = c_in = 1), numpy multiplies the
-    strided view through another loop than BLAS, with other bits."""
+    strided view by another path than a contiguous product, with other
+    bits."""
     T, h, w, c_in = X.shape
     pad = k // 2
     Xp = np.zeros((T, h + 2 * pad, w + 2 * pad, c_in), dtype=X.dtype)

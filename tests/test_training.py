@@ -474,8 +474,7 @@ def test_training_writes_report_and_checkpoint(tiny_dataset, tmp_path):
     _, report = train(tiny_config(epochs=2), manifest, base, out_dir=out)
     assert os.path.exists(os.path.join(out, "checkpoint", "params.bin"))
     doc = json.load(open(os.path.join(out, "report.json")))
-    assert doc == json.loads(json.dumps(report.to_dict()))
-    assert doc["losses"] == report.losses and doc["accuracy"] == report.accuracy
+    assert doc == json.loads(json.dumps(report.to_dict()))  # losses, accuracy, config, ...
 
 
 # ---------------------------------------------------------------------------
