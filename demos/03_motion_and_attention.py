@@ -49,14 +49,13 @@ motion_weights = {name.split(".", 1)[1]: tape2.leaf(array)
 feature2 = motion.motion_feature(tape2.leaf(frames), motion_weights, mode="pfme")
 # the gate weight initializes to zero (uniform attention), so draw a random
 # one here to show how motion concentrates the temporal weights
-gated, weights, _ = attention.motion_guided_audio(
-    tape2.leaf(audio), feature2, tape2.leaf(0.3 * rng.normal(size=(d.d_a, 1))),
-    return_parts=True)
+gated, parts = attention.motion_guided_audio(
+    tape2.leaf(audio), feature2, tape2.leaf(0.3 * rng.normal(size=(d.d_a, 1))))
 print("\ntemporal attention weights over segments:")
-print("  ", np.round(weights.data[:, 0], 3).tolist())
+print("  ", np.round(parts["temporal_weights"].data[:, 0], 3).tolist())
 
 tape3 = ad.Tape()
-flat = attention.motion_guided_audio(
+flat, _ = attention.motion_guided_audio(
     tape3.leaf(audio), tape3.zeros((d.T, d.d_a)),
     tape3.leaf(params["audio_gate.temporal_weight"]))
 expected = 1.5 * (1 + 1 / d.T)

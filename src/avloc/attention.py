@@ -16,27 +16,23 @@ from . import autodiff as ad
 from .errors import ShapeError
 
 
-def motion_guided_audio(audio: ad.Tensor, motion: ad.Tensor,
-                        temporal_weight: ad.Tensor, use_temporal: bool = True,
-                        return_parts: bool = False):
-    """Gate (T, d_a) audio by the (T, d_a) motion feature.
+def motion_guided_audio(audio: ad.Tensor, motion: ad.Tensor, temporal_weight: ad.Tensor,
+                        use_temporal: bool = True) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
+    """Gate (T, d_a) audio by the (T, d_a) motion feature; returns it and its
+    parts, the (T, 1) `temporal_weights` (if `use_temporal`) and `channel_gate`.
 
     With zero motion this collapses to a fixed scaling: uniform temporal
     weights contribute (1 + 1/T) and the sigmoid channel gate contributes 1.5.
     """
     if audio.shape != motion.shape:
         raise ShapeError(f"audio {audio.shape} and motion {motion.shape} must match")
+    parts = {}
+    boosted = audio
     if use_temporal:
-        weights = ad.softmax(ad.matmul(motion, temporal_weight), axis=0)  # (T, 1)
-        boosted = ad.add(audio, ad.mul(weights, audio))
-    else:
-        weights = None
-        boosted = audio
-    channel_gate = ad.sigmoid(motion)
-    out = ad.add(boosted, ad.mul(channel_gate, boosted))
-    if return_parts:
-        return out, weights, boosted
-    return out
+        parts["temporal_weights"] = ad.softmax(ad.matmul(motion, temporal_weight), axis=0)
+        boosted = ad.add(audio, ad.mul(parts["temporal_weights"], audio))
+    parts["channel_gate"] = ad.sigmoid(motion)
+    return ad.add(boosted, ad.mul(parts["channel_gate"], boosted)), parts
 
 
 def _per_location_map(x: ad.Tensor, weight: ad.Tensor) -> ad.Tensor:
@@ -70,8 +66,9 @@ def audio_guided_channel(audio_gated: ad.Tensor, visual: ad.Tensor,
 
 
 def audio_guided_spatial(audio_gated: ad.Tensor, visual_gated: ad.Tensor,
-                         p: Mapping[str, ad.Tensor]) -> ad.Tensor:
-    """Spatial attention: collapse (T, h, w, d_v) to (T, d_v).
+                         p: Mapping[str, ad.Tensor]) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
+    """Spatial attention: collapse (T, h, w, d_v) to (T, d_v); returns it and
+    its part, the (T, h, w, 1) location `scores`.
 
     `p` is the visual_gate group of the model's parameter table.
 
@@ -85,4 +82,4 @@ def audio_guided_spatial(audio_gated: ad.Tensor, visual_gated: ad.Tensor,
     joint = ad.mul(_per_segment_broadcast(audio_hidden), visual_hidden)  # (T, h, w, d_h)
     scores = ad.tanh(_per_location_map(joint, p["spatial_score"]))       # (T, h, w, 1)
     weighted = ad.mul(scores, visual_gated)
-    return ad.scale(ad.avg_spatial(weighted), h * w)  # spatial sum
+    return ad.scale(ad.avg_spatial(weighted), h * w), {"scores": scores}  # spatial sum

@@ -211,6 +211,10 @@ def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
+def _is_path(value) -> bool:
+    return isinstance(value, str) and "\0" not in value
+
+
 def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(_is_int(v) for v in value)
 
@@ -223,12 +227,17 @@ def _field(path: str, obj: dict, key: str, check, kind: str):
     return value
 
 
-def load_manifest(path: str) -> DatasetManifest:
+def read_json(path: str):
+    """The file's JSON document; bad UTF-8, bad JSON or too deep a nesting is a FormatError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+            return json.load(f)
+    except (ValueError, RecursionError) as exc:  # decode and parse errors are ValueErrors
+        raise FormatError(f"{path}: not valid JSON ({type(exc).__name__}: {exc})") from exc
+
+
+def load_manifest(path: str) -> DatasetManifest:
+    doc = read_json(path)
     try:
         manifest = DatasetManifest(
             version=_field(path, doc, "version", _is_str, "a string"),
@@ -237,7 +246,7 @@ def load_manifest(path: str) -> DatasetManifest:
             entries=[
                 ManifestEntry(
                     video_id=_field(path, e, "video_id", _is_str, "a string"),
-                    path=_field(path, e, "path", _is_str, "a string"),
+                    path=_field(path, e, "path", _is_path, "a string without NUL"),
                     label=LabelRecord(
                         video_class=_field(path, e, "video_class", _is_int, "an integer"),
                         segment_relevance=np.array(_field(

@@ -20,9 +20,9 @@ from .errors import ShapeError
 
 def cross_modal_attend(query_seq: ad.Tensor, context_seq: ad.Tensor,
                        query_proj: ad.Tensor, key_proj: ad.Tensor,
-                       value_proj: ad.Tensor, return_weights: bool = False):
+                       value_proj: ad.Tensor) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
     """Single-head scaled dot-product attention, 1/sqrt(d_m), of `query_seq`
-    over [query_seq; context_seq].
+    over [query_seq; context_seq]; returns the output and its (T, 2T) `weights`.
 
     Both sequences must share channel width; keys and values come from their
     time-axis concatenation, so each of the T output rows is a convex mixture
@@ -39,37 +39,30 @@ def cross_modal_attend(query_seq: ad.Tensor, context_seq: ad.Tensor,
     scores = ad.scale(ad.batched_matmul(q, k, transpose_b=True),
                       1.0 / math.sqrt(q.shape[1]))             # (T, 2T)
     weights = ad.softmax(scores, axis=1)
-    out = ad.batched_matmul(weights, v)
-    if return_weights:
-        return out, weights
-    return out
-
-
-def _attend_with(branch: Mapping[str, ad.Tensor], query_seq: ad.Tensor,
-                 context_seq: ad.Tensor) -> ad.Tensor:
-    return cross_modal_attend(query_seq, context_seq, branch["query_proj"],
-                              branch["key_proj"], branch["value_proj"])
+    return ad.batched_matmul(weights, v), {"weights": weights}
 
 
 def relation_aware(audio_seq: ad.Tensor, visual_seq: ad.Tensor,
                    audio_proj: ad.Tensor, visual_proj: ad.Tensor,
                    audio_branch: Mapping[str, ad.Tensor],
-                   visual_branch: Mapping[str, ad.Tensor]) -> tuple[ad.Tensor, ad.Tensor]:
-    """Project both streams to d_m, then let each attend over both.
+                   visual_branch: Mapping[str, ad.Tensor]):
+    """Project both streams to d_m, then let each attend over both; returns
+    the audio and the visual branch, each as `cross_modal_attend` returns it.
 
     The branches are the audio_branch and visual_branch groups of the
-    model's parameter table.
+    model's parameter table, keyed by `cross_modal_attend`'s projection names.
     """
     a = ad.matmul(audio_seq, audio_proj)
     v = ad.matmul(visual_seq, visual_proj)
-    visual_rel = _attend_with(visual_branch, v, a)
-    audio_rel = _attend_with(audio_branch, a, v)
+    visual_rel = cross_modal_attend(v, a, **visual_branch)
+    audio_rel = cross_modal_attend(a, v, **audio_branch)
     return audio_rel, visual_rel
 
 
 def interact(audio_rel: ad.Tensor, visual_rel: ad.Tensor, fused_proj: ad.Tensor,
-             branch: Mapping[str, ad.Tensor]) -> ad.Tensor:
-    """Fuse the relation branches into the (T, 2*d_m) classification feature.
+             branch: Mapping[str, ad.Tensor]) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
+    """Fuse the relation branches into the (T, 2*d_m) classification feature;
+    returns it and the mixing attention's parts.
 
     The concatenated pair is the residual; the attention mixes the
     elementwise product (resonance) against a width-reconciled view of the
@@ -80,5 +73,5 @@ def interact(audio_rel: ad.Tensor, visual_rel: ad.Tensor, fused_proj: ad.Tensor,
     resonance = ad.mul(audio_rel, visual_rel)                    # (T, d_m)
     paired = ad.concat(audio_rel, visual_rel, axis=1)            # (T, 2*d_m)
     context = ad.matmul(paired, fused_proj)                      # (T, d_m)
-    mixed = _attend_with(branch, resonance, context)
-    return ad.add(mixed, paired)
+    mixed, parts = cross_modal_attend(resonance, context, **branch)
+    return ad.add(mixed, paired), parts

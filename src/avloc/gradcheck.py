@@ -182,20 +182,21 @@ def _attention_checks(rng) -> list[CheckResult]:
                       (_T, _DA), (_T, _H, _W, _DV), *gates.values())
 
     return (_family(rng, "attention.motion_guided_audio", _fixed(
-                rng, attention.motion_guided_audio, (_T, _DA), (_T, _DA), (_DA, 1)))
+                rng, lambda *a: attention.motion_guided_audio(*a)[0],
+                (_T, _DA), (_T, _DA), (_DA, 1)))
             + _family(rng, "attention.audio_guided_channel",
                       gated(attention.audio_guided_channel))
             + _family(rng, "attention.audio_guided_spatial",
-                      gated(attention.audio_guided_spatial)))
+                      gated(lambda *a: attention.audio_guided_spatial(*a)[0])))
 
 
 def _fusion_checks(rng) -> list[CheckResult]:
     branch = _group_shapes("interaction")
     return (_family(rng, "fusion.cross_modal_attend.sqrt", _fixed(
-                rng, fusion.cross_modal_attend,
+                rng, lambda *a: fusion.cross_modal_attend(*a)[0],
                 (_T, _DM), (_T, _DM), (_DM, _DM), (_DM, _DM), (_DM, _DM + 1)))
             + _family(rng, "fusion.interact", _fixed(
-                rng, lambda a, v, proj, *w: fusion.interact(a, v, proj, dict(zip(branch, w))),
+                rng, lambda a, v, proj, *w: fusion.interact(a, v, proj, dict(zip(branch, w)))[0],
                 (_T, _DM), (_T, _DM), (2 * _DM, _DM), *branch.values())))
 
 

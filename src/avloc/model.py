@@ -203,7 +203,8 @@ def _group(leaves: Mapping[str, ad.Tensor], prefix: str) -> dict[str, ad.Tensor]
 @dataclass
 class ForwardPass:
     """Tape outputs of the forward, plus the leaf tensors for backward; a
-    tape of B videos gives B*T rows (B rows for class_probs)."""
+    tape of B videos gives B*T rows (B rows for class_probs). `stages` holds
+    each stage's parts (`<stage>.<part>`), then its output, in pipeline order."""
 
     leaves: dict[str, ad.Tensor]
     class_probs: ad.Tensor            # (1, n_out)
@@ -232,30 +233,33 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
     audio_in, visual_in = tape.param(audio), tape.param(visual)
     stages: dict[str, ad.Tensor] = {}
 
+    def record(name: str, out: ad.Tensor, parts: Mapping[str, ad.Tensor]) -> ad.Tensor:
+        stages.update((f"{name}.{part}", tensor) for part, tensor in parts.items())
+        stages[name] = out
+        return out
+
     motion_feat = motion.motion_feature(visual_in, _group(leaves, "motion"), cfg.motion)
     stages["motion.feature"] = motion_feat
 
-    audio_gated = attention.motion_guided_audio(
+    audio_gated = record("audio_attention", *attention.motion_guided_audio(
         audio_in, motion_feat, leaves["audio_gate.temporal_weight"],
-        use_temporal=cfg.temporal_attention)
-    stages["audio_attention"] = audio_gated
+        use_temporal=cfg.temporal_attention))
 
     gate_leaves = _group(leaves, "visual_gate")
     visual_gated = attention.audio_guided_channel(audio_gated, visual_in, gate_leaves)
     stages["visual_channel"] = visual_gated
-    visual_static = attention.audio_guided_spatial(audio_gated, visual_gated, gate_leaves)
-    stages["visual_spatial"] = visual_static
+    visual_static = record("visual_spatial", *attention.audio_guided_spatial(
+        audio_gated, visual_gated, gate_leaves))
 
-    audio_rel, visual_rel = fusion.relation_aware(
+    audio_branch, visual_branch = fusion.relation_aware(
         audio_gated, visual_static,
         leaves["streams.audio"], leaves["streams.visual"],
         _group(leaves, "audio_branch"), _group(leaves, "visual_branch"))
-    stages["relation.audio"] = audio_rel
-    stages["relation.visual"] = visual_rel
+    audio_rel = record("relation.audio", *audio_branch)
+    visual_rel = record("relation.visual", *visual_branch)
 
-    fused = fusion.interact(audio_rel, visual_rel, leaves["streams.fused"],
-                            _group(leaves, "interaction"))
-    stages["interaction"] = fused
+    fused = record("interaction", *fusion.interact(
+        audio_rel, visual_rel, leaves["streams.fused"], _group(leaves, "interaction")))
 
     head_leaves = _group(leaves, "head")
     class_probs = heads.class_distribution(fused, head_leaves)

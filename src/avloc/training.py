@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import heads, motion
 from .data import (DatasetManifest, FeatureBundle, LabelRecord, _is_int, load_entry,
-                   read_blocks, synced_open, write_blocks)
+                   read_blocks, read_json, synced_open, write_blocks)
 from .errors import ConfigError, ConsistencyError, ContractError, FormatError, TrainingDiverged
 from .model import (ForwardPass, ModelConfig, ModelParams, _freeze, init_params,
                     param_table, predict, run_forward)
@@ -255,11 +255,7 @@ def save_checkpoint(ckpt_dir: str, params: ModelParams, cfg: ModelConfig) -> Non
 
 def load_checkpoint(ckpt_dir: str) -> tuple[ModelParams, ModelConfig]:
     index_path = os.path.join(ckpt_dir, "index.json")
-    try:
-        with open(index_path, "r", encoding="utf-8") as f:
-            index = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{index_path}: not valid JSON ({exc})") from exc
+    index = read_json(index_path)
     if not isinstance(index, dict) or index.get("format") != CHECKPOINT_VERSION:
         raise FormatError(f"{index_path}: not an {CHECKPOINT_VERSION} index")
     seed = index.get("seed")

@@ -86,7 +86,7 @@ def test_acceptance_closed_form_invariants():
 
         # zero-motion closed form of the audio gate
         t3 = ad.Tape()
-        gated = attention.motion_guided_audio(
+        gated, _ = attention.motion_guided_audio(
             t3.leaf(audio), t3.zeros((d.T, d.d_a)),
             t3.leaf(params.arrays["audio_gate.temporal_weight"]))
         expected = 1.5 * (1.0 + 1.0 / d.T) * audio

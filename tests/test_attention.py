@@ -33,17 +33,16 @@ def test_zero_motion_closed_form():
     rng = np.random.default_rng(0)
     audio = rng.normal(size=(10, DA))
     t = ad.Tape()
-    out, weights, boosted = attention.motion_guided_audio(
-        t.leaf(audio), t.zeros((10, DA)), t.leaf(rng.normal(size=(DA, 1))),
-        return_parts=True)
-    npt.assert_allclose(weights.data, np.full((10, 1), 0.1), atol=1e-7)
+    out, parts = attention.motion_guided_audio(
+        t.leaf(audio), t.zeros((10, DA)), t.leaf(rng.normal(size=(DA, 1))))
+    npt.assert_allclose(parts["temporal_weights"].data, np.full((10, 1), 0.1), atol=1e-7)
     npt.assert_allclose(out.data, 1.5 * 1.1 * audio, atol=1e-6)
 
 
 def test_zero_audio_stays_zero_for_any_motion():
     rng = np.random.default_rng(1)
     t = ad.Tape()
-    out = attention.motion_guided_audio(
+    out, _ = attention.motion_guided_audio(
         t.zeros((T, DA)), t.leaf(rng.normal(size=(T, DA)) * 5),
         t.leaf(rng.normal(size=(DA, 1))))
     npt.assert_array_equal(out.data, np.zeros((T, DA)))
@@ -54,11 +53,12 @@ def test_hand_case_two_segments():
     # weights [0.25, 0.75]; boosted [1.25, 1.75]; gate [0.5, 0.75];
     # out [1.875, 3.0625]
     t = ad.Tape("f64")
-    out, weights, boosted = attention.motion_guided_audio(
-        t.leaf([[1.0], [1.0]]), t.leaf([[0.0], [np.log(3.0)]]),
-        t.leaf([[1.0]]), return_parts=True)
-    npt.assert_allclose(weights.data, [[0.25], [0.75]], atol=1e-9)
-    npt.assert_allclose(boosted.data, [[1.25], [1.75]], atol=1e-9)
+    out, parts = attention.motion_guided_audio(
+        t.leaf([[1.0], [1.0]]), t.leaf([[0.0], [np.log(3.0)]]), t.leaf([[1.0]]))
+    weights = parts["temporal_weights"].data
+    npt.assert_allclose(weights, [[0.25], [0.75]], atol=1e-9)
+    npt.assert_allclose(1.0 + weights, [[1.25], [1.75]], atol=1e-9)  # boosted audio
+    npt.assert_allclose(parts["channel_gate"].data, [[0.5], [0.75]], atol=1e-9)
     npt.assert_allclose(out.data, [[1.875], [3.0625]], atol=1e-9)
 
 
@@ -67,9 +67,10 @@ def test_temporal_attention_off_keeps_only_channel_gate():
     audio = rng.normal(size=(T, DA))
     m = rng.normal(size=(T, DA))
     t = ad.Tape("f64")
-    out = attention.motion_guided_audio(
+    out, parts = attention.motion_guided_audio(
         t.leaf(audio), t.leaf(m), t.leaf(rng.normal(size=(DA, 1))),
         use_temporal=False)
+    assert list(parts) == ["channel_gate"]
     gate = 1.0 / (1.0 + np.exp(-m))
     npt.assert_allclose(out.data, audio + gate * audio, atol=1e-9)
 
@@ -77,9 +78,10 @@ def test_temporal_attention_off_keeps_only_channel_gate():
 def test_temporal_weights_normalize_over_time():
     rng = np.random.default_rng(3)
     t = ad.Tape()
-    _, weights, _ = attention.motion_guided_audio(
+    _, parts = attention.motion_guided_audio(
         t.leaf(rng.normal(size=(T, DA))), t.leaf(rng.normal(size=(T, DA)) * 3),
-        t.leaf(rng.normal(size=(DA, 1))), return_parts=True)
+        t.leaf(rng.normal(size=(DA, 1))))
+    weights = parts["temporal_weights"]
     assert (weights.data >= 0).all()
     npt.assert_allclose(weights.data.sum(), 1.0, atol=1e-6)
 
@@ -94,12 +96,10 @@ def test_temporal_weights_are_shift_invariant():
     shift = 7.3 * w[:, 0] / (w[:, 0] @ w[:, 0])  # adds 7.3 to every score
 
     t = ad.Tape("f64")
-    _, w1, b1 = attention.motion_guided_audio(
-        t.leaf(audio), t.leaf(m), t.leaf(w), return_parts=True)
-    _, w2, b2 = attention.motion_guided_audio(
-        t.leaf(audio), t.leaf(m + shift), t.leaf(w), return_parts=True)
-    npt.assert_allclose(w1.data, w2.data, atol=1e-6)
-    npt.assert_allclose(b1.data, b2.data, atol=1e-6)
+    w1, w2 = (attention.motion_guided_audio(t.leaf(audio), t.leaf(motion), t.leaf(w))[1]
+              ["temporal_weights"].data for motion in (m, m + shift))
+    npt.assert_allclose(w1, w2, atol=1e-6)
+    npt.assert_allclose(audio + w1 * audio, audio + w2 * audio, atol=1e-6)  # boosted
 
 
 def test_audio_motion_length_mismatch_is_shape_error():
@@ -124,13 +124,13 @@ def test_zero_propagation_nulls_hold_for_random_params():
         # zero audio silences both stages (no biases anywhere)
         channel_out = attention.audio_guided_channel(t.zeros((T, DA)), visual, gates)
         npt.assert_allclose(channel_out.data, 0.0, atol=1e-6)
-        spatial_out = attention.audio_guided_spatial(t.zeros((T, DA)), visual, gates)
+        spatial_out, _ = attention.audio_guided_spatial(t.zeros((T, DA)), visual, gates)
         npt.assert_allclose(spatial_out.data, 0.0, atol=1e-6)
         # zero visual likewise
         npt.assert_allclose(attention.audio_guided_channel(
             audio, t.zeros((T, H, W, DV)), gates).data, 0.0, atol=1e-6)
         npt.assert_allclose(attention.audio_guided_spatial(
-            audio, t.zeros((T, H, W, DV)), gates).data, 0.0, atol=1e-6)
+            audio, t.zeros((T, H, W, DV)), gates)[0].data, 0.0, atol=1e-6)
 
 
 def test_channel_stage_matches_straight_line_oracle():
@@ -167,23 +167,25 @@ def test_spatial_stage_single_location_degenerates_to_scalar_gate():
 
     t = ad.Tape("f64")
     gates = {k: t.leaf(v) for k, v in params.items()}
-    out = attention.audio_guided_spatial(t.leaf(audio), t.leaf(visual), gates)
+    out, parts = attention.audio_guided_spatial(t.leaf(audio), t.leaf(visual), gates)
 
     audio_hidden = np.maximum(audio @ params["spatial_audio"], 0)
     visual_hidden = np.maximum(visual[:, 0, 0] @ params["spatial_visual"], 0)
     score = np.tanh((audio_hidden * visual_hidden) @ params["spatial_score"])
     expected = score * visual[:, 0, 0]
     npt.assert_allclose(out.data, expected, atol=1e-6)
+    npt.assert_allclose(parts["scores"].data[:, 0, 0], score, atol=1e-6)
 
 
 def test_spatial_output_shape_is_segments_by_visual_channels():
     rng = np.random.default_rng(8)
     t = ad.Tape()
     gates = random_gates(t, rng)
-    out = attention.audio_guided_spatial(
+    out, parts = attention.audio_guided_spatial(
         t.leaf(rng.normal(size=(T, DA))), t.leaf(rng.normal(size=(T, H, W, DV))),
         gates)
     assert out.shape == (T, DV)
+    assert parts["scores"].shape == (T, H, W, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,7 @@ def test_attention_gradients_match_finite_differences():
     def build(arrs):
         tape = ad.Tape("f64")
         leaves = [tape.leaf(a) for a in arrs]
-        out = attention.motion_guided_audio(*leaves)
+        out, _ = attention.motion_guided_audio(*leaves)
         return ad.sum_all(ad.mul(out, tape.leaf(mix))), leaves
 
     result = check_gradients("attention.mgaa", build, [audio, m, w])
@@ -215,7 +217,7 @@ def test_attention_gradients_match_finite_differences():
         a, v = tape.leaf(arrs[0]), tape.leaf(arrs[1])
         gates = dict(zip(GATE_SHAPES, [tape.leaf(x) for x in arrs[2:]]))
         chan = attention.audio_guided_channel(a, v, gates)
-        out = attention.audio_guided_spatial(a, chan, gates)
+        out, _ = attention.audio_guided_spatial(a, chan, gates)
         return ad.sum_all(ad.mul(out, tape.leaf(mix4))), [a, v] + list(gates.values())
 
     result = check_gradients("attention.agva", build_spatial,

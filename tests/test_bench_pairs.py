@@ -103,3 +103,49 @@ def test_src_lines_counts_the_python_files_under_src(tmp_path):
             path.write_text(text)
     assert PAIRS["src_lines"](str(tmp_path / "base")) == 3
     assert PAIRS["src_lines"](str(tmp_path / "change")) == 4
+
+
+@pytest.mark.parametrize("change, better, expected", [
+    ([x * 1.05 for x in BASE], "higher", "gain"),
+    ([x * 0.95 for x in BASE], "lower", "gain"),
+    # a steady 5% lead in 8 of 10 pairs: the sign test gives p = 0.055
+    ([x * 1.05 for x in BASE[:8]] + [x * 0.99 for x in BASE[8:]], "higher", "within bound"),
+    # 10 of 10 wins by 0.5-3%, a median ratio inside the ratios' IQR
+    ([x * r for x, r in zip(BASE, (1.005, 1.03, 1.005, 1.03, 1.005, 1.03, 1.005, 1.03,
+                                   1.005, 1.03))], "higher", "within bound"),
+    ([x * 0.7 for x in BASE], "higher", "worse"),
+    ([x * 1.3 for x in BASE], "lower", "worse"),
+    ([x * 0.8 for x in BASE], "higher", "within bound"),
+    (list(BASE), "higher", "within bound"),
+    # ratios spread from 0.6 to 1.4: wider than the bound
+    ([x * r for x, r in zip(BASE, (0.6, 1.4, 0.6, 1.4, 1.0, 1.0, 0.6, 1.4, 0.6, 1.4))],
+     "higher", "unresolved"),
+], ids=["higher_gain", "lower_gain", "eight_of_ten", "lead_inside_the_ratio_iqr",
+        "higher_worse", "lower_worse", "worse_inside_the_bound", "ties", "unresolved"])
+def test_paired_verdict_on_canned_pairs(change, better, expected):
+    assert PAIRS["paired_verdict"](BASE, change, better, 0.25) == expected
+
+
+def test_paired_verdict_cancels_drift_that_both_sides_of_a_pair_share():
+    # the host slows by half over the run; each change run is 3% ahead of its pair
+    drift = [100.0, 95.0, 90.0, 85.0, 80.0, 75.0, 70.0, 65.0, 60.0, 55.0]
+    change = [x * 1.03 for x in drift]
+    assert PAIRS["verdict"](drift, change, "higher", 0.25) == "unresolved"
+    assert PAIRS["paired_verdict"](drift, change, "higher", 0.25) == "gain"
+    assert PAIRS["sign_test"](drift, change, "higher") == pytest.approx(0.5 ** 10)
+
+
+def test_summary_keeps_both_verdicts_the_ratios_and_the_sign_test():
+    parse = PAIRS["parse_run"]
+    pairs = [(parse(_output(b, 0.5))[1], parse(_output(b * 1.1, 0.5))[1]) for b in BASE]
+    rate = PAIRS["summarize"](pairs, METRICS)["videos_per_s"]
+    assert rate["ratio"]["median"] == pytest.approx(1.1)
+    assert rate["ratio"]["iqr"] == pytest.approx(0.0, abs=1e-12)
+    assert rate["sign_test_p"] == pytest.approx(0.5 ** 10)
+    assert rate["verdict"] == rate["paired_verdict"] == "gain"
+    loss = PAIRS["summarize"](pairs, METRICS)["final_loss"]
+    assert loss["sign_test_p"] == 1.0 and loss["paired_verdict"] == "within bound"
+
+
+def test_ratios_of_a_zero_base():
+    assert PAIRS["ratios"]([0.0, 0.0, 2.0], [0.0, 1.0, 1.0]) == [1.0, float("inf"), 0.5]

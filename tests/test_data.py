@@ -231,6 +231,10 @@ GARBAGE_MANIFESTS = {  # case -> (manifest text, what the error must name)
     "label_beyond_int64": (_manifest_text({"segment_class": [10**30, 2]}), "malformed"),
     "int_version": (_manifest_text(version=3), "'version'"),
     "null_version": (_manifest_text(version=None), "'version'"),
+    "nul_in_path": (_manifest_text({"path": "vid\u0000.avf"}), "'path'"),
+    "invalid_utf8": (b'{"version": "\xff"}', "JSON"),
+    "nested_too_deep": ("[" * 100_000, "JSON"),
+    "int_beyond_the_digit_limit": ('{"classes": ' + "9" * 5000 + "}", "JSON"),
 }
 
 
@@ -238,7 +242,7 @@ GARBAGE_MANIFESTS = {  # case -> (manifest text, what the error must name)
 def test_manifest_garbage_is_format_error(tmp_path, case):
     text, names = GARBAGE_MANIFESTS[case]
     path = str(tmp_path / "manifest.json")
-    open(path, "w").write(text)
+    open(path, "wb").write(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(FormatError, match=names):
         load_manifest(path)
     assert main(["train", "--manifest", path, "--out", str(tmp_path / "run")]) == 2

@@ -26,9 +26,8 @@ def test_single_segment_identical_streams_average_the_two_value_rows():
     q, k, v = (rng.normal(size=(DM, DM)) for _ in range(3))
     t = ad.Tape("f64")
     tx, ty, tq, tk, tv = leaves(t, x, x, q, k, v)
-    out, weights = fusion.cross_modal_attend(tx, ty, tq, tk, tv,
-                                             return_weights=True)
-    npt.assert_allclose(weights.data, [[0.5, 0.5]], atol=1e-9)
+    out, parts = fusion.cross_modal_attend(tx, ty, tq, tk, tv)
+    npt.assert_allclose(parts["weights"].data, [[0.5, 0.5]], atol=1e-9)
     npt.assert_allclose(out.data, (x @ v), atol=1e-9)  # both rows equal x @ v
 
 
@@ -40,7 +39,7 @@ def test_zero_value_projection_zeroes_the_output():
                                 rng.normal(size=(DM, DM)),
                                 rng.normal(size=(DM, DM)),
                                 np.zeros((DM, DM)))
-    out = fusion.cross_modal_attend(tx, ty, tq, tk, tv)
+    out, _ = fusion.cross_modal_attend(tx, ty, tq, tk, tv)
     npt.assert_array_equal(out.data, np.zeros((T, DM)))
 
 
@@ -52,7 +51,7 @@ def test_attention_matches_straight_line_oracle():
     k_p = rng.normal(size=(3, 3))
     v_p = rng.normal(size=(3, 4))
     t = ad.Tape("f64")
-    out = fusion.cross_modal_attend(*leaves(t, x, y, q_p, k_p, v_p))
+    out, _ = fusion.cross_modal_attend(*leaves(t, x, y, q_p, k_p, v_p))
 
     # project, score, normalize, mix
     g = np.concatenate([x, y], axis=0)
@@ -68,8 +67,7 @@ def test_attention_weights_are_a_distribution_over_2T_rows():
     y = rng.normal(size=(T, DM))
     q_p, k_p, v_p = (rng.normal(size=(DM, DM)) for _ in range(3))
     t = ad.Tape("f64")
-    _, weights = fusion.cross_modal_attend(
-        *leaves(t, x, y, q_p, k_p, v_p), return_weights=True)
+    weights = fusion.cross_modal_attend(*leaves(t, x, y, q_p, k_p, v_p))[1]["weights"]
     assert weights.shape == (T, 2 * T)
     assert (weights.data >= 0).all()
     npt.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
@@ -83,7 +81,7 @@ def test_permuting_the_context_rows_leaves_outputs_unchanged():
 
     def run(context):
         t = ad.Tape("f64")
-        return fusion.cross_modal_attend(*leaves(t, x, context, q_p, k_p, v_p)).data
+        return fusion.cross_modal_attend(*leaves(t, x, context, q_p, k_p, v_p))[0].data
 
     perm = np.random.default_rng(5).permutation(T)
     npt.assert_allclose(run(y), run(y[perm]), atol=1e-6)
@@ -115,7 +113,7 @@ def test_identical_streams_and_params_give_identical_branches():
     branch_a = branch_group(*leaves(t, *s["branch"]))
     branch_v = branch_group(*leaves(t, *s["branch"]))
     proj = t.leaf(s["audio_proj"])
-    audio_rel, visual_rel = fusion.relation_aware(
+    (audio_rel, _), (visual_rel, _) = fusion.relation_aware(
         t.leaf(s["audio"]), t.leaf(s["audio"]), proj, proj, branch_a, branch_v)
     npt.assert_allclose(audio_rel.data, visual_rel.data, atol=1e-6)
 
@@ -126,7 +124,7 @@ def test_zero_value_projections_zero_both_branches():
     t = ad.Tape()
     zero_branch = branch_group(
         t.leaf(s["branch"][0]), t.leaf(s["branch"][1]), t.zeros((DM, DM)))
-    audio_rel, visual_rel = fusion.relation_aware(
+    (audio_rel, _), (visual_rel, _) = fusion.relation_aware(
         t.leaf(s["audio"]), t.leaf(s["visual"]), t.leaf(s["audio_proj"]),
         t.leaf(s["visual_proj"]), zero_branch, zero_branch)
     npt.assert_array_equal(audio_rel.data, np.zeros((T, DM)))
@@ -138,7 +136,7 @@ def test_relation_matches_composed_attend_oracle():
     s = relation_setup(rng)
     branch2 = [rng.normal(size=(DM, DM)) for _ in range(3)]
     t = ad.Tape("f64")
-    audio_rel, visual_rel = fusion.relation_aware(
+    (audio_rel, audio_parts), (visual_rel, visual_parts) = fusion.relation_aware(
         t.leaf(s["audio"]), t.leaf(s["visual"]), t.leaf(s["audio_proj"]),
         t.leaf(s["visual_proj"]),
         branch_group(*leaves(t, *s["branch"])),
@@ -147,10 +145,13 @@ def test_relation_matches_composed_attend_oracle():
     t2 = ad.Tape("f64")
     a = ad.matmul(t2.leaf(s["audio"]), t2.leaf(s["audio_proj"]))
     v = ad.matmul(t2.leaf(s["visual"]), t2.leaf(s["visual_proj"]))
-    expect_v = fusion.cross_modal_attend(v, a, *leaves(t2, *branch2))
-    expect_a = fusion.cross_modal_attend(a, v, *leaves(t2, *s["branch"]))
+    expect_v, expect_v_parts = fusion.cross_modal_attend(v, a, *leaves(t2, *branch2))
+    expect_a, expect_a_parts = fusion.cross_modal_attend(a, v, *leaves(t2, *s["branch"]))
     npt.assert_allclose(audio_rel.data, expect_a.data, atol=1e-9)
     npt.assert_allclose(visual_rel.data, expect_v.data, atol=1e-9)
+    npt.assert_allclose(audio_parts["weights"].data, expect_a_parts["weights"].data, atol=1e-9)
+    npt.assert_allclose(visual_parts["weights"].data, expect_v_parts["weights"].data,
+                        atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +171,10 @@ def test_interaction_output_shape_and_residual_halves():
     s = interaction_setup(rng)
     t = ad.Tape()
     same = t.leaf(s["audio_rel"])
-    out = fusion.interact(same, same, t.leaf(s["fused_proj"]),
-                          branch_group(*leaves(t, *s["branch"])))
+    out, parts = fusion.interact(same, same, t.leaf(s["fused_proj"]),
+                                 branch_group(*leaves(t, *s["branch"])))
     assert out.shape == (T, 2 * DM)
+    assert parts["weights"].shape == (T, 2 * T)
     # equal branches concatenate into two identical halves of the residual
     paired = np.concatenate([s["audio_rel"], s["audio_rel"]], axis=1)
     for i in range(T):
@@ -188,7 +190,7 @@ def test_zero_audio_branch_with_zero_values_reduces_to_residual():
     visual_rel = t.leaf(s["visual_rel"])
     branch = branch_group(t.leaf(s["branch"][0]), t.leaf(s["branch"][1]),
                           t.zeros((DM, 2 * DM)))
-    out = fusion.interact(zero, visual_rel, t.leaf(s["fused_proj"]), branch)
+    out, _ = fusion.interact(zero, visual_rel, t.leaf(s["fused_proj"]), branch)
     residual = np.concatenate([np.zeros((T, DM)), s["visual_rel"]], axis=1)
     npt.assert_allclose(out.data, residual.astype(np.float32), atol=1e-7)
 
@@ -197,9 +199,9 @@ def test_interaction_matches_straight_line_oracle():
     rng = np.random.default_rng(11)
     s = interaction_setup(rng)
     t = ad.Tape("f64")
-    out = fusion.interact(t.leaf(s["audio_rel"]), t.leaf(s["visual_rel"]),
-                          t.leaf(s["fused_proj"]),
-                          branch_group(*leaves(t, *s["branch"])))
+    out, _ = fusion.interact(t.leaf(s["audio_rel"]), t.leaf(s["visual_rel"]),
+                             t.leaf(s["fused_proj"]),
+                             branch_group(*leaves(t, *s["branch"])))
 
     resonance = s["audio_rel"] * s["visual_rel"]
     paired = np.concatenate([s["audio_rel"], s["visual_rel"]], axis=1)
@@ -222,7 +224,7 @@ def test_fusion_gradients_match_finite_differences():
     def build(arrs):
         tape = ad.Tape("f64")
         ls = leaves(tape, *arrs)
-        out = fusion.cross_modal_attend(*ls)
+        out, _ = fusion.cross_modal_attend(*ls)
         return ad.sum_all(ad.mul(out, tape.leaf(mix))), ls
 
     result = check_gradients("fusion.attend", build, [x, y, q_p, k_p, v_p])

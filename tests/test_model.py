@@ -365,6 +365,43 @@ def test_batched_forward_and_mean_gradient_match_per_video_in_f64(
         npt.assert_allclose(g, mean, rtol=0, atol=1e-10)
 
 
+# (mode, motion, temporal attention) -> tape nodes of a forward of 1 and of 7 videos
+FORWARD_NODES = {("supervised", "pfme", True): (107, 104), ("supervised", "off", True): (104, 101),
+                 ("supervised", "pfme", False): (103, 100), ("weak", "pfme", True): (109, 106)}
+
+
+@pytest.mark.parametrize("mode, motion_mode, temporal", list(FORWARD_NODES))
+def test_forward_records_each_stage_after_its_parts_and_adds_no_tape_node(
+        mode, motion_mode, temporal):
+    cfg = ModelConfig(mode=mode, motion=motion_mode, temporal_attention=temporal)
+    params = init_params(cfg, seed=14)
+    d = cfg.dims
+    for videos, nodes in zip((1, 7), FORWARD_NODES[mode, motion_mode, temporal]):
+        bundles, _, _ = _batch(cfg, videos)
+        tape = ad.Tape(videos=videos)
+        fwd = run_forward(tape, params, np.concatenate([b.audio for b in bundles]),
+                          np.concatenate([b.visual for b in bundles]), cfg)
+        rows = videos * d.T
+        expected = {"motion.feature": (rows, d.d_a),
+                    "audio_attention.temporal_weights": (rows, 1),
+                    "audio_attention.channel_gate": (rows, d.d_a),
+                    "audio_attention": (rows, d.d_a),
+                    "visual_channel": (rows, d.h, d.w, d.d_v),
+                    "visual_spatial.scores": (rows, d.h, d.w, 1),
+                    "visual_spatial": (rows, d.d_v),
+                    "relation.audio.weights": (rows, 2 * d.T),
+                    "relation.audio": (rows, d.relation),
+                    "relation.visual.weights": (rows, 2 * d.T),
+                    "relation.visual": (rows, d.relation),
+                    "interaction.weights": (rows, 2 * d.T),
+                    "interaction": (rows, 2 * d.relation),
+                    "classifier": (videos, cfg.n_class_outputs)}
+        if not temporal:
+            del expected["audio_attention.temporal_weights"]
+        assert [(name, t.shape) for name, t in fwd.stages.items()] == list(expected.items())
+        assert len(tape) == nodes
+
+
 def test_perturbing_one_video_leaves_the_others_in_the_batch_unchanged():
     cfg = ModelConfig()
     params = init_params(cfg, seed=10)

@@ -136,6 +136,20 @@ def test_divergence_aborts_with_module_diagnostic(tiny_dataset):
         train(cfg, manifest, base)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_first_nonfinite_stage_names_the_earliest_nonfinite_tensor(tiny_dataset):
+    manifest, base = tiny_dataset
+    cfg = tiny_config().model
+    params = init_params(cfg, 0)
+    params.set_array("audio_gate.temporal_weight",
+                     np.full((cfg.dims.d_a, 1), np.nan, dtype=np.float32))
+    entries = manifest.entries[:2]
+    loss, _, fwd = _batch_loss(params, cfg, [load_entry(manifest, e, base) for e in entries],
+                               [e.label for e in entries])
+    assert not np.isfinite(loss)
+    assert training._first_nonfinite_stage(fwd) == "audio_attention.temporal_weights"
+
+
 def test_nonfinite_gradient_aborts_before_the_update(tiny_dataset, monkeypatch):
     """A finite loss with a NaN gradient stops training before Adam applies
     it, naming the parameter and the epoch."""
@@ -407,6 +421,10 @@ def _truncate_params(ckpt):
     open(bin_path, "wb").write(raw[:len(raw) // 2])
 
 
+def _write_index(raw):
+    return lambda ckpt: open(os.path.join(ckpt, "index.json"), "wb").write(raw)
+
+
 def _edit_index(edit):
     def corrupt(ckpt):
         path = os.path.join(ckpt, "index.json")
@@ -442,6 +460,8 @@ def _edit_index(edit):
                  ConfigError, "motion", id="unhashable_motion_list"),
     pytest.param(_edit_index(lambda ix: ix["config"].update(motion={})),
                  ConfigError, "motion", id="unhashable_motion_dict"),
+    pytest.param(_write_index(b'{"format": "\xff"}'), FormatError, "JSON", id="index_not_utf8"),
+    pytest.param(_write_index(b"[" * 100_000), FormatError, "JSON", id="index_nested_too_deep"),
 ])
 def test_corrupt_checkpoint_is_a_typed_error(tiny_dataset, tmp_path, corrupt, error, match):
     manifest, base = tiny_dataset

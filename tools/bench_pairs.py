@@ -13,9 +13,13 @@ The output JSON holds both commits, the line count of each side's
 `src/**/*.py` and their difference, the host as the runs' `# env` lines
 report it, and for each workload and end-to-end metric both sides' values,
 medians and interquartile ranges, the number of pairs the change won
-(strictly better in the metric's direction from BENCHMARK.json) and a
-verdict (see `verdict`). The run prints the verdicts and the line change
-when it ends. The file is rewritten after every pair, so a stopped run
+(strictly better in the metric's direction from BENCHMARK.json), the
+per-pair ratios change/base with their median and interquartile range, the
+p-value of a one-sided sign test over the pairs, and two verdicts:
+`verdict` judges the two sides' runs apart (see `verdict`), and
+`paired_verdict` judges the ratios, so that host drift shared by the two
+runs of a pair cancels (see `paired_verdict`). The run prints both verdicts
+and the line change when it ends. The file is rewritten after every pair, so a stopped run
 keeps the pairs it finished.
 """
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -32,8 +37,13 @@ import sys
 import tarfile
 import tempfile
 
+from scipy.stats import binomtest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HOST_KEYS = ("nproc", "cpu", "python", "numpy", "blas", "blas_threads")
+# one-sided sign-test level of a paired gain; over 10 pairs it takes 9 wins
+# (p = 0.011), the same count as the 9-in-10 rule of `verdict`
+ALPHA = 0.05
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -80,6 +90,43 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     return "within bound"
 
 
+def ratios(base: list[float], change: list[float]) -> list[float]:
+    """change/base per pair; a zero base gives 1 for an equal change and
+    infinity otherwise."""
+    return [c / b if b else (1.0 if c == 0 else math.inf) for b, c in zip(base, change)]
+
+
+def sign_test(base: list[float], change: list[float], better: str) -> float:
+    """p-value of the one-sided sign test that the change is no better than
+    the base, over the pairs that are not ties."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    losses = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+    return binomtest(wins, wins + losses, alternative="greater").pvalue if wins + losses else 1.0
+
+
+def paired_verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """One metric's verdict from the per-pair ratios change/base, `bound`
+    being the fraction by which the change may be worse.
+
+    - "gain": the ratios' median is better than 1 by more than their
+      interquartile range, and the sign test rejects "no better" at ALPHA;
+    - "worse": the ratios' median is worse than 1 by more than the bound;
+    - "unresolved": the ratios' interquartile range is wider than the bound;
+    - "within bound" otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    r = _spread(ratios(base, change))
+    ahead = sign * (r["median"] - 1.0)
+    if ahead > r["iqr"] and sign_test(base, change, better) < ALPHA:
+        return "gain"
+    if -ahead > bound:
+        return "worse"
+    if r["iqr"] > bound:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
     """Per metric of one workload's (base result, change result) pairs;
     `metrics` holds BENCHMARK.json's end-to-end entries by name."""
@@ -93,7 +140,10 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
                      "base": _spread(base), "change": _spread(change),
                      "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
                      "ties": sum(c == b for b, c in zip(base, change)),
-                     "verdict": verdict(base, change, better, bound)}
+                     "ratio": _spread(ratios(base, change)),
+                     "sign_test_p": sign_test(base, change, better),
+                     "verdict": verdict(base, change, better, bound),
+                     "paired_verdict": paired_verdict(base, change, better, bound)}
     out["failed_operations"] = {"base": sum(b["failed"] for b, _ in pairs),
                                 "change": sum(c["failed"] for _, c in pairs)}
     return out
@@ -183,9 +233,11 @@ def main(argv=None) -> int:
     for workload, result in doc["workloads"].items():
         for name, m in result["metrics"].items():
             if name != "failed_operations":
-                print(f"{workload} {name}: {m['verdict']} (median {m['base']['median']:.6g} "
-                      f"-> {m['change']['median']:.6g}, base IQR {m['base']['iqr']:.3g}, "
-                      f"change won {m['change_wins']}/{result['pairs']})")
+                print(f"{workload} {name}: {m['verdict']}, paired {m['paired_verdict']} "
+                      f"(median {m['base']['median']:.6g} -> {m['change']['median']:.6g}, "
+                      f"base IQR {m['base']['iqr']:.3g}, ratio {m['ratio']['median']:.4f} "
+                      f"IQR {m['ratio']['iqr']:.3g}, change won {m['change_wins']}/"
+                      f"{result['pairs']}, sign test p {m['sign_test_p']:.3g})")
     print(f"src/ lines: {doc['base']['src_lines']} -> {doc['change']['src_lines']} "
           f"({doc['src_lines_change']:+d})")
     return 0
