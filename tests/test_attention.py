@@ -57,8 +57,9 @@ def test_hand_case_two_segments():
         t.leaf([[1.0], [1.0]]), t.leaf([[0.0], [np.log(3.0)]]), t.leaf([[1.0]]))
     weights = parts["temporal_weights"].data
     npt.assert_allclose(weights, [[0.25], [0.75]], atol=1e-9)
-    npt.assert_allclose(1.0 + weights, [[1.25], [1.75]], atol=1e-9)  # boosted audio
-    npt.assert_allclose(parts["channel_gate"].data, [[0.5], [0.75]], atol=1e-9)
+    gate = parts["channel_gate"].data
+    npt.assert_allclose(gate, [[0.5], [0.75]], atol=1e-9)
+    npt.assert_allclose(out.data / (1.0 + gate), [[1.25], [1.75]], atol=1e-9)  # boosted
     npt.assert_allclose(out.data, [[1.875], [3.0625]], atol=1e-9)
 
 
@@ -96,10 +97,13 @@ def test_temporal_weights_are_shift_invariant():
     shift = 7.3 * w[:, 0] / (w[:, 0] @ w[:, 0])  # adds 7.3 to every score
 
     t = ad.Tape("f64")
-    w1, w2 = (attention.motion_guided_audio(t.leaf(audio), t.leaf(motion), t.leaf(w))[1]
-              ["temporal_weights"].data for motion in (m, m + shift))
-    npt.assert_allclose(w1, w2, atol=1e-6)
-    npt.assert_allclose(audio + w1 * audio, audio + w2 * audio, atol=1e-6)  # boosted
+    (out1, p1), (out2, p2) = (
+        attention.motion_guided_audio(t.leaf(audio), t.leaf(motion), t.leaf(w))
+        for motion in (m, m + shift))
+    npt.assert_allclose(p1["temporal_weights"].data, p2["temporal_weights"].data, atol=1e-6)
+    # the boosted audio is the output with the channel gate divided out
+    npt.assert_allclose(out1.data / (1.0 + p1["channel_gate"].data),
+                        out2.data / (1.0 + p2["channel_gate"].data), atol=1e-6)
 
 
 def test_audio_motion_length_mismatch_is_shape_error():

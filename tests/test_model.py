@@ -366,8 +366,10 @@ def test_batched_forward_and_mean_gradient_match_per_video_in_f64(
 
 
 # (mode, motion, temporal attention) -> tape nodes of a forward of 1 and of 7 videos
-FORWARD_NODES = {("supervised", "pfme", True): (107, 104), ("supervised", "off", True): (104, 101),
-                 ("supervised", "pfme", False): (103, 100), ("weak", "pfme", True): (109, 106)}
+FORWARD_NODES = {("supervised", "pfme", True): (107, 104),
+                 ("supervised", "off", True): (104, 101),
+                 ("supervised", "pfme", False): (103, 100),
+                 ("weak", "pfme", True): (109, 106)}
 
 
 @pytest.mark.parametrize("mode, motion_mode, temporal", list(FORWARD_NODES))

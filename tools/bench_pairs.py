@@ -19,8 +19,8 @@ p-value of a one-sided sign test over the pairs, and two verdicts:
 `verdict` judges the two sides' runs apart (see `verdict`), and
 `paired_verdict` judges the ratios, so that host drift shared by the two
 runs of a pair cancels (see `paired_verdict`). The run prints both verdicts
-and the line change when it ends. The file is rewritten after every pair, so a stopped run
-keeps the pairs it finished.
+and the line change when it ends. The file is rewritten after every pair,
+so a stopped run keeps the pairs it finished.
 """
 
 from __future__ import annotations
