@@ -6,9 +6,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import gradcheck, motion
-from .data import load_manifest, synth_dataset, synced_open
+from .data import FeatureDims, load_manifest, synth_dataset, synced_open
 from .errors import AvlocError, ConfigError
 from .model import MODES, Dims, ModelConfig
 from .training import (TrainConfig, ablate, evaluate, load_checkpoint, train)
@@ -27,12 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--videos", type=int, default=64)
-    p.add_argument("--T", type=int, default=10)
-    p.add_argument("--da", type=int, default=32)
-    p.add_argument("--dv", type=int, default=64)
-    p.add_argument("--h", type=int, default=3)
-    p.add_argument("--w", type=int, default=3)
-    p.add_argument("--classes", type=int, default=4)
+    for f in fields(FeatureDims):
+        p.add_argument("--" + f.name.replace("_", ""), dest=f.name, type=int, default=f.default)
     p.add_argument("--snr", type=float, default=3.0)
 
     p = sub.add_parser("train", help="train on a dataset manifest")
@@ -80,8 +77,8 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     if args.command == "synth":
         manifest, _ = synth_dataset(
-            args.out, args.seed, args.videos, T=args.T, d_a=args.da,
-            d_v=args.dv, h=args.h, w=args.w, classes=args.classes, snr=args.snr)
+            args.out, args.seed, args.videos, snr=args.snr,
+            **{f.name: getattr(args, f.name) for f in fields(FeatureDims)})
         print(f"wrote {len(manifest.entries)} videos to "
               f"{os.path.join(args.out, 'manifest.json')}")
         return 0

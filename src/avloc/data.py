@@ -38,6 +38,7 @@ MANIFEST_VERSION = "avf-synth-1"
 DRIFT_STEP = np.pi / 2  # synth_dataset's rotation of the event pattern per segment
 AMPLITUDE = 4.0         # synth_dataset's factor on signal and noise
 CLUTTER = 1.0           # synth_dataset's static background frame, relative to the noise
+DISTRACTOR_PROB = 0.5   # synth_dataset's chance that a background segment is a distractor
 
 
 @contextmanager
@@ -364,7 +365,6 @@ def _unit_noise(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
 
 
 def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
-                  distractor_prob: float = 0.5,
                   background_fraction: float = 0.0,
                   **dims: int) -> tuple[DatasetManifest, SynthInfo]:
     """Generate a planted-event dataset and write it under `out_dir`.
@@ -374,7 +374,7 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
     pattern that drifts (rotates within a 2-plane) from segment to segment, so
     motion extraction has signal. Outside the span both streams are noise
     around a static per-video background frame, except that each background
-    segment independently becomes, with `distractor_prob`, a distractor: the
+    segment independently becomes, with DISTRACTOR_PROB, a distractor: the
     audio leaks the class prototype while the visuals stay frozen. Everything
     is deterministic in `seed`.
 
@@ -396,10 +396,8 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
     for name, value in (("seed", seed), ("n_videos", n_videos)):
         if not (_is_int(value) and value >= 0):
             raise ContractError(f"{name} must be an int >= 0, got {value!r}")
-    for name, value in (("distractor_prob", distractor_prob),
-                        ("background_fraction", background_fraction)):
-        if not 0 <= value <= 1:  # NaN fails both comparisons
-            raise ContractError(f"{name} must be in [0, 1], got {value!r}")
+    if not 0 <= background_fraction <= 1:  # NaN fails both comparisons
+        raise ContractError(f"background_fraction must be in [0, 1], got {background_fraction!r}")
     noise_scale = 0.0 if np.isinf(snr) else 1.0 / float(snr)
     classes, T = manifest.classes, manifest.T
     audio_shape, visual_shape = manifest.shapes()
@@ -435,7 +433,7 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
                            + np.sin(angle) * visual_patterns[cls, 1])
                 audio[t] += audio_protos[cls]
                 visual[t] += pattern
-            elif rng.random() < distractor_prob:
+            elif rng.random() < DISTRACTOR_PROB:
                 distractor[t] = True
                 audio[t] += audio_protos[cls]   # leaked event audio
                 visual[t] = background          # frozen frame, no fresh jitter

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import attention, fusion, heads, motion
 from .errors import ConfigError
-from .model import Dims, ModelConfig, ModelParams, init_params, param_table, run_forward
+from .model import Dims, ModelConfig, ModelParams, _group, init_params, param_table, run_forward
 
 REL_TOL = 1e-4
 ABS_TOL = 1e-8
@@ -163,8 +163,7 @@ _MINI = ModelConfig(dims=Dims(T=_T, d_a=_DA, d_v=_DV, h=_H, w=_W, classes=_C,
 
 def _group_shapes(prefix: str) -> dict[str, tuple[int, ...]]:
     """Local name -> shape of one parameter-table group at the miniature dims."""
-    return {name.split(".", 1)[1]: shape for name, _, _, shape in param_table(_MINI)
-            if name.startswith(prefix + ".")}
+    return _group({name: shape for name, _, _, shape in param_table(_MINI)}, prefix)
 
 
 def _motion_checks(rng) -> list[CheckResult]:

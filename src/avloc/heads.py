@@ -51,9 +51,7 @@ def class_distribution(fused: ad.Tensor, p: Mapping[str, ad.Tensor]) -> ad.Tenso
 
     `p` (here and below) is the head group of the model's parameter table.
     """
-    pooled = ad.max_time(fused)
-    logits = ad.add(ad.matmul(pooled, p["class_weight"]), p["class_bias"])
-    return ad.softmax(logits, axis=1)
+    return ad.softmax(per_segment_logits(ad.max_time(fused), p), axis=1)
 
 
 def event_relevance(fused: ad.Tensor, p: Mapping[str, ad.Tensor]) -> ad.Tensor:

@@ -11,7 +11,7 @@ anything downstream, which is what the ablation runner exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, asdict
-from typing import Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -191,9 +191,9 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
                         for name, group, init, shape in param_table(cfg)}, seed)
 
 
-def _group(leaves: Mapping[str, ad.Tensor], prefix: str) -> dict[str, ad.Tensor]:
-    """The leaves named `prefix.<local>`, keyed by their local name."""
-    return {k[len(prefix) + 1:]: v for k, v in leaves.items() if k.startswith(prefix + ".")}
+def _group(named: Mapping[str, Any], prefix: str) -> dict[str, Any]:
+    """The entries named `prefix.<local>` (leaves or shapes), keyed by local name."""
+    return {k[len(prefix) + 1:]: v for k, v in named.items() if k.startswith(prefix + ".")}
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +262,13 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
         audio_rel, visual_rel, leaves["streams.fused"], _group(leaves, "interaction")))
 
     head_leaves = _group(leaves, "head")
-    class_probs = heads.class_distribution(fused, head_leaves)
-    event_scores = heads.event_relevance(fused, head_leaves)
-    segment_logits = heads.per_segment_logits(fused, head_leaves) \
-        if cfg.mode == "weak" else None
-    stages["classifier"] = class_probs
+    class_probs = stages["classifier"] = heads.class_distribution(fused, head_leaves)
+    event_scores = stages["event_relevance"] = heads.event_relevance(fused, head_leaves)
+    if cfg.mode == "weak":
+        stages["segment_logits"] = heads.per_segment_logits(fused, head_leaves)
 
-    return ForwardPass(leaves=leaves, class_probs=class_probs,
-                       event_scores=event_scores, segment_logits=segment_logits,
-                       stages=stages)
+    return ForwardPass(leaves=leaves, class_probs=class_probs, event_scores=event_scores,
+                       segment_logits=stages.get("segment_logits"), stages=stages)
 
 
 def predict(params: ModelParams, cfg: ModelConfig, bundle: FeatureBundle) -> Prediction:

@@ -211,27 +211,17 @@ def _score(params: ModelParams, cfg: ModelConfig, manifest: DatasetManifest,
            ) -> tuple[float, dict[str, float | None], list[heads.Prediction]]:
     """`evaluate` over bundles given in manifest order."""
     background = manifest.classes
-    hits = total = 0
-    class_hits = np.zeros(background + 1, dtype=np.int64)
-    class_total = np.zeros(background + 1, dtype=np.int64)
-    predictions = []
-    for entry, bundle in zip(manifest.entries, bundles):
-        pred = predict(params, cfg, bundle)
-        predictions.append(pred)
-        truth = entry.label.segment_class
-        match = pred.decoded == truth
-        hits += int(match.sum())
-        total += len(truth)
-        for cls in range(background + 1):
-            sel = truth == cls
-            class_hits[cls] += int(match[sel].sum())
-            class_total[cls] += int(sel.sum())
+    predictions = [predict(params, cfg, bundle) for bundle in bundles]
+    truth = np.concatenate([e.label.segment_class for e in manifest.entries])
+    match = np.concatenate([p.decoded for p in predictions]) == truth
+    class_hits = np.bincount(truth[match], minlength=background + 1)
+    class_total = np.bincount(truth, minlength=background + 1)
     per_class: dict[str, float | None] = {}
     for cls in range(background + 1):
         key = "background" if cls == background else str(cls)
         per_class[key] = (float(class_hits[cls] / class_total[cls])
                           if class_total[cls] else None)
-    return float(hits / total) if total else 0.0, per_class, predictions
+    return float(match.sum() / len(truth)), per_class, predictions
 
 
 # ---------------------------------------------------------------------------

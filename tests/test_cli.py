@@ -1,12 +1,15 @@
 """End-to-end command-line flows on a miniature dataset."""
 
+import argparse
 import csv
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
-from avloc.cli import main
+from avloc.cli import _build_parser, main
+from avloc.data import FeatureDims, load_manifest
 from avloc.training import ABLATION_VARIANTS
 
 
@@ -31,6 +34,24 @@ def test_synth_writes_manifest_and_features(dataset):
     assert len(doc["entries"]) == 8
     for entry in doc["entries"]:
         assert os.path.exists(os.path.join(os.path.dirname(dataset), entry["path"]))
+
+
+def test_synth_has_one_flag_per_feature_dim_with_its_default():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: (a.option_strings, a.default) for a in sub.choices["synth"]._actions}
+    dims = {f.name: (["--" + f.name.replace("_", "")], f.default) for f in fields(FeatureDims)}
+    assert list(flags) == ["help", "seed", "out", "videos", *dims, "snr"]
+    assert {name: flags[name] for name in dims} == dims
+    assert [flags[name][0][0] for name in dims] == ["--classes", "--T", "--da", "--dv",
+                                                      "--h", "--w"]
+
+
+def test_synth_without_dimension_flags_writes_the_default_dims(workspace):
+    out = os.path.join(workspace, "default_dims")
+    assert main(["synth", "--out", out, "--videos", "1"]) == 0
+    manifest = load_manifest(os.path.join(out, "manifest.json"))
+    assert manifest.feature_dims() == FeatureDims().feature_dims()
+    assert len(manifest.entries) == 1
 
 
 def test_synth_is_deterministic_across_invocations(workspace):

@@ -397,9 +397,13 @@ def test_forward_records_each_stage_after_its_parts_and_adds_no_tape_node(
                     "relation.visual": (rows, d.relation),
                     "interaction.weights": (rows, 2 * d.T),
                     "interaction": (rows, 2 * d.relation),
-                    "classifier": (videos, cfg.n_class_outputs)}
+                    "classifier": (videos, cfg.n_class_outputs),
+                    "event_relevance": (rows, 1),
+                    "segment_logits": (rows, cfg.n_class_outputs)}
         if not temporal:
             del expected["audio_attention.temporal_weights"]
+        if mode != "weak":
+            del expected["segment_logits"]
         assert [(name, t.shape) for name, t in fwd.stages.items()] == list(expected.items())
         assert len(tape) == nodes
 

@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from avloc import autodiff as ad
-from avloc import training
+from avloc import data, training
 from avloc.cli import main
 from avloc.data import FeatureBundle, load_entry, synth_dataset
 from avloc.errors import (AvlocError, ConfigError, ConsistencyError, ContractError,
@@ -137,17 +137,20 @@ def test_divergence_aborts_with_module_diagnostic(tiny_dataset):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_first_nonfinite_stage_names_the_earliest_nonfinite_tensor(tiny_dataset):
+@pytest.mark.parametrize("param, stage", [
+    ("audio_gate.temporal_weight", "audio_attention.temporal_weights"),
+    ("head.event_bias", "event_relevance"),
+])
+def test_first_nonfinite_stage_names_the_earliest_nonfinite_tensor(tiny_dataset, param, stage):
     manifest, base = tiny_dataset
     cfg = tiny_config().model
     params = init_params(cfg, 0)
-    params.set_array("audio_gate.temporal_weight",
-                     np.full((cfg.dims.d_a, 1), np.nan, dtype=np.float32))
+    params.set_array(param, np.full(params.arrays[param].shape, np.nan, dtype=np.float32))
     entries = manifest.entries[:2]
     loss, _, fwd = _batch_loss(params, cfg, [load_entry(manifest, e, base) for e in entries],
                                [e.label for e in entries])
     assert not np.isfinite(loss)
-    assert training._first_nonfinite_stage(fwd) == "audio_attention.temporal_weights"
+    assert training._first_nonfinite_stage(fwd) == stage
 
 
 def test_nonfinite_gradient_aborts_before_the_update(tiny_dataset, monkeypatch):
@@ -332,14 +335,23 @@ def test_evaluate_counts_match_an_independent_recount(tiny_dataset):
 
     # independent recount from the exported records
     hits = total = 0
+    class_hits, class_total = {}, {}
     by_id = {e.video_id: e.label.segment_class for e in manifest.entries}
     for pred in predictions:
         record = pred.to_record()
         truth = by_id[record["video_id"]]
         for t, decoded in enumerate(record["decoded"]):
+            key = "background" if truth[t] == manifest.classes else str(truth[t])
             hits += decoded == truth[t]
             total += 1
+            class_hits[key] = class_hits.get(key, 0) + (decoded == truth[t])
+            class_total[key] = class_total.get(key, 0) + 1
     npt.assert_allclose(accuracy, hits / total, atol=1e-9)
+    keys = [str(c) for c in range(manifest.classes)] + ["background"]
+    assert list(per_class) == keys
+    for key in keys:
+        expected = class_hits[key] / class_total[key] if key in class_total else None
+        assert per_class[key] == pytest.approx(expected, abs=1e-9), key
 
 
 def test_all_correct_predictions_score_one(tiny_dataset):
@@ -562,12 +574,12 @@ def test_ablate_needs_a_held_out_video_before_anything_trains(tmp_path, monkeypa
 
 
 @pytest.mark.slow
-def test_every_variant_solves_a_noiseless_dataset(tmp_path):
+def test_every_variant_solves_a_noiseless_dataset(tmp_path, monkeypatch):
     # without noise or distractors the task is too easy to separate variants
+    monkeypatch.setattr(data, "DISTRACTOR_PROB", 0.0)
     dims = dict(T=6, d_a=16, d_v=24, h=2, w=2, classes=3)
     base_dir = str(tmp_path / "easy")
-    manifest, _ = synth_dataset(base_dir, seed=11, n_videos=32,
-                                snr=float("inf"), distractor_prob=0.0, **dims)
+    manifest, _ = synth_dataset(base_dir, seed=11, n_videos=32, snr=float("inf"), **dims)
     model = ModelConfig(dims=Dims(**dims, hidden=32, relation=32))
     table = ablate(TrainConfig(model=model, epochs=60, batch_size=8),
                    manifest, base_dir, seeds=[1, 2])
