@@ -179,6 +179,16 @@ def test_forward_replays_the_frozen_golden_prediction():
     assert pred.to_record() == golden
 
 
+def test_weak_forward_replays_the_frozen_golden_prediction():
+    """The weak-mode oracle: seed-0 weak params on the seed-0 bundle must
+    reproduce the frozen time-aggregated distribution and per-segment
+    decoding bit-for-bit."""
+    golden = json.load(open(os.path.join(GOLDEN, "forward_seed0_weak.json")))
+    cfg = ModelConfig(mode="weak")
+    pred = predict(init_params(cfg, seed=0), cfg, default_bundle(0, cfg))
+    assert pred.to_record() == golden
+
+
 def _per_row_block_conv(X, K):
     """conv2d's forward as one product per (tap, t, i) over the w columns of
     the zero-padded input, with the taps summed in (di, dj) order."""
