@@ -30,19 +30,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--videos", type=int, default=64)
     for f in fields(FeatureDims):
         p.add_argument("--" + f.name.replace("_", ""), dest=f.name, type=int, default=f.default)
-    p.add_argument("--snr", type=float, default=3.0)
+    p.add_argument("--snr", type=float, default=synth_dataset.__kwdefaults__["snr"])
 
+    train_cfg, model_cfg = TrainConfig(), ModelConfig()
     p = sub.add_parser("train", help="train on a dataset manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--mode", choices=MODES, default="supervised")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=MODES, default=model_cfg.mode)
+    p.add_argument("--epochs", type=int, default=train_cfg.epochs)
+    p.add_argument("--batch", type=int, default=train_cfg.batch_size)
+    p.add_argument("--lr", type=float, default=train_cfg.learning_rate)
+    p.add_argument("--seed", type=int, default=train_cfg.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--motion", choices=[m.replace("_", "-") for m in motion.VARIANTS],
-                   default="pfme")
-    p.add_argument("--temporal-attention", choices=["on", "off"], default="on")
+                   default=model_cfg.motion.replace("_", "-"))
+    p.add_argument("--temporal-attention", choices=["on", "off"],
+                   default="on" if model_cfg.temporal_attention else "off")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     p.add_argument("--manifest", required=True)

@@ -163,7 +163,7 @@ _MINI = ModelConfig(dims=Dims(T=_T, d_a=_DA, d_v=_DV, h=_H, w=_W, classes=_C,
 
 def _group_shapes(prefix: str) -> dict[str, tuple[int, ...]]:
     """Local name -> shape of one parameter-table group at the miniature dims."""
-    return _group({name: shape for name, _, _, shape in param_table(_MINI)}, prefix)
+    return _group({name: shape for name, _, shape in param_table(_MINI)}, prefix)
 
 
 def _motion_checks(rng) -> list[CheckResult]:
@@ -218,7 +218,7 @@ def _head_checks(rng) -> list[CheckResult]:
     def weak():
         video_class = int(rng.integers(_C + 1))
         return _fixed(rng, lambda fused, cw, cb: heads.weak_aggregate_loss(
-            ad.add(ad.matmul(fused, cw), cb), video_class),
+            heads.weak_class_distribution(ad.add(ad.matmul(fused, cw), cb)), video_class),
             (_T, width), (width, _C + 1), (1, _C + 1))()
 
     return (_family(rng, "heads.supervised_loss", supervised, loss=True)

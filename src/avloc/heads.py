@@ -1,12 +1,12 @@
 """Classification heads, decoding, and losses.
 
-The video-level class distribution comes from a max-pool over time of the
-fused feature; the per-segment relevance score is a sigmoid applied per time
-step, with a segment counted as an event only when its score is strictly
-greater than 0.5 (the boundary decodes to background). Supervised training
-adds a video-class cross entropy and a per-segment binary cross entropy; the
-weakly-supervised path sums per-segment class logits over time and applies a
-single cross entropy at the video level.
+The forward builds one video-level class distribution per mode: supervised,
+a max-pool over time of the fused feature; weak, the sum over time of the
+per-segment class logits, background included. The per-segment relevance
+score is a sigmoid per time step, and a segment is an event only when its
+score is strictly greater than 0.5 (the boundary decodes to background).
+Both modes train the distribution's video-level cross entropy; supervised
+training adds a per-segment binary cross entropy.
 """
 
 from __future__ import annotations
@@ -61,8 +61,13 @@ def event_relevance(fused: ad.Tensor, p: Mapping[str, ad.Tensor]) -> ad.Tensor:
 
 
 def per_segment_logits(fused: ad.Tensor, p: Mapping[str, ad.Tensor]) -> ad.Tensor:
-    """Class logits per time step (no pooling) -> (T, n_out); weak pathway."""
+    """Class logits per row, a time step or a pooled video -> (T, n_out)."""
     return ad.add(ad.matmul(fused, p["class_weight"]), p["class_bias"])
+
+
+def weak_class_distribution(segment_logits: ad.Tensor) -> ad.Tensor:
+    """Sum each video's (T, C+1) segment logits over time, softmax -> (1, C+1)."""
+    return ad.softmax(ad.sum_time(segment_logits), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +91,14 @@ def decode_weak(segment_logits: np.ndarray) -> np.ndarray:
 # losses
 
 
-def _one_hot(tape: ad.Tape, video_class: int | Sequence[int], classes: int,
-             width: int) -> ad.Tensor:
-    """One (1, width) one-hot row per video class in [0, classes], one class
-    per video of the tape. The background class `classes` has a column only
-    when the width includes it, and a zero row otherwise."""
+def _video_cross_entropy(class_probs: ad.Tensor, video_class: int | Sequence[int],
+                         classes: int) -> ad.Tensor:
+    """Mean over the tape's videos of -log p(video class), one (1, width)
+    distribution row and one class in [0, classes] per video. The background
+    class `classes` has a column only when the width includes it, and adds
+    nothing otherwise. Logs are clamped at `ad.LOG_FLOOR`."""
+    tape = class_probs.tape
+    videos, width = class_probs.shape
     indices = [int(c) for c in np.atleast_1d(video_class)]
     if len(indices) != tape.videos:
         raise ShapeError(f"{len(indices)} video classes for a tape of {tape.videos} video(s)")
@@ -99,7 +107,8 @@ def _one_hot(tape: ad.Tape, video_class: int | Sequence[int], classes: int,
             raise LabelError(f"class index {index} outside [0, {classes}]")
     onehot = np.zeros((len(indices), classes + 1))
     onehot[np.arange(len(indices)), indices] = 1.0
-    return tape.leaf(onehot[:, :width])
+    return ad.scale(ad.sum_all(ad.mul(tape.leaf(onehot[:, :width]),
+                                      ad.log_clamped(class_probs))), -1.0 / videos)
 
 
 def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
@@ -117,10 +126,8 @@ def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
     videos.
     """
     tape = class_probs.tape
-    (videos, classes), rows = class_probs.shape, event_scores.shape[0]
-    onehot = _one_hot(tape, video_class, classes, classes)
-    class_term = ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(class_probs))),
-                          -1.0 / videos)
+    rows = event_scores.shape[0]
+    class_term = _video_cross_entropy(class_probs, video_class, class_probs.shape[1])
 
     y = np.asarray(segment_relevance, dtype=float).reshape(rows, 1)
     y_t = tape.leaf(y)
@@ -136,23 +143,11 @@ def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
 def supervised_loss(class_probs: ad.Tensor, event_scores: ad.Tensor,
                     video_class: int | Sequence[int],
                     segment_relevance: np.ndarray) -> ad.Tensor:
-    total, _, _ = supervised_loss_terms(class_probs, event_scores,
-                                        video_class, segment_relevance)
-    return total
+    return supervised_loss_terms(class_probs, event_scores, video_class, segment_relevance)[0]
 
 
-def weak_aggregate_loss(segment_logits: ad.Tensor,
+def weak_aggregate_loss(class_probs: ad.Tensor,
                         video_class: int | Sequence[int]) -> ad.Tensor:
-    """Sum (T, C+1) logits over time, softmax, cross entropy at video level.
-
-    Only the video class supervises this path; per-segment relevance is never
-    consumed. `video_class` holds one class per video of the tape, and the
-    loss is the mean over the videos.
-    """
-    if segment_logits.ndim != 2:
-        raise ShapeError(f"segment logits must be (T, n_out), got {segment_logits.shape}")
-    video_logits = ad.sum_time(segment_logits)                  # (1, C+1)
-    probs = ad.softmax(video_logits, axis=1)
-    onehot = _one_hot(segment_logits.tape, video_class, probs.shape[1] - 1, probs.shape[1])
-    return ad.scale(ad.sum_all(ad.mul(onehot, ad.log_clamped(probs))),
-                    -1.0 / probs.shape[0])
+    """The video-level cross entropy of the (1, C+1) weak distribution; only
+    the video class supervises weak mode, per-segment relevance never does."""
+    return _video_cross_entropy(class_probs, video_class, class_probs.shape[1] - 1)

@@ -107,46 +107,48 @@ def _zeros(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 
 
-def param_table(cfg: ModelConfig) -> list[tuple[str, int, Callable, tuple[int, ...]]]:
-    """Every learned weight as (name, RNG group, initializer, shape).
+def param_table(cfg: ModelConfig) -> list[tuple[str, Callable, tuple[int, ...]]]:
+    """Every learned weight as (name, initializer, shape).
 
-    The order is shared by initialization (each group's stream is drawn in
-    row order), the optimizer, checkpoints and leaf registration.
+    A name's prefix is its group. Each group has its own RNG stream, spawned
+    in the order the groups first appear, and draws from it in row order.
+    The order is shared by initialization, the optimizer, checkpoints and
+    leaf registration.
     """
     d = cfg.dims
     d_m, d_h, n_out = d.relation, d.hidden, cfg.n_class_outputs
     return [
-        ("motion.align_kernel", 0, _uniform, (1, 1, d.d_v, d.d_a)),
-        ("motion.past_kernel", 0, _identity, (3, 3, d.d_a, d.d_a)),
-        ("motion.future_kernel", 0, _identity, (3, 3, d.d_a, d.d_a)),
-        ("motion.out_map", 0, _uniform, (d.d_a, d.d_a)),
+        ("motion.align_kernel", _uniform, (1, 1, d.d_v, d.d_a)),
+        ("motion.past_kernel", _identity, (3, 3, d.d_a, d.d_a)),
+        ("motion.future_kernel", _identity, (3, 3, d.d_a, d.d_a)),
+        ("motion.out_map", _uniform, (d.d_a, d.d_a)),
         # zero-init so the temporal gate starts uniform (a neutral 1 + 1/T boost)
         # instead of a near-one-hot softmax that starves most segments early
-        ("audio_gate.temporal_weight", 1, _zeros, (d.d_a, 1)),
-        ("visual_gate.channel_audio", 2, _uniform, (d.d_a, d_h)),
-        ("visual_gate.channel_visual", 2, _uniform, (d.d_v, d_h)),
-        ("visual_gate.channel_align", 2, _uniform, (d_h, d.d_v)),
-        ("visual_gate.channel_value", 2, _uniform, (d.d_v, d.d_v)),
-        ("visual_gate.spatial_audio", 2, _uniform, (d.d_a, d_h)),
-        ("visual_gate.spatial_visual", 2, _uniform, (d.d_v, d_h)),
-        ("visual_gate.spatial_score", 2, _uniform, (d_h, 1)),
-        ("streams.audio", 3, _uniform, (d.d_a, d_m)),
-        ("streams.visual", 3, _uniform, (d.d_v, d_m)),
-        ("streams.fused", 3, _uniform, (2 * d_m, d_m)),
-        ("audio_branch.query_proj", 4, _uniform, (d_m, d_m)),
-        ("audio_branch.key_proj", 4, _uniform, (d_m, d_m)),
-        ("audio_branch.value_proj", 4, _uniform, (d_m, d_m)),
-        ("visual_branch.query_proj", 5, _uniform, (d_m, d_m)),
-        ("visual_branch.key_proj", 5, _uniform, (d_m, d_m)),
-        ("visual_branch.value_proj", 5, _uniform, (d_m, d_m)),
-        ("interaction.query_proj", 6, _uniform, (d_m, d_m)),
-        ("interaction.key_proj", 6, _uniform, (d_m, d_m)),
-        ("interaction.value_proj", 6, _uniform, (d_m, 2 * d_m)),
+        ("audio_gate.temporal_weight", _zeros, (d.d_a, 1)),
+        ("visual_gate.channel_audio", _uniform, (d.d_a, d_h)),
+        ("visual_gate.channel_visual", _uniform, (d.d_v, d_h)),
+        ("visual_gate.channel_align", _uniform, (d_h, d.d_v)),
+        ("visual_gate.channel_value", _uniform, (d.d_v, d.d_v)),
+        ("visual_gate.spatial_audio", _uniform, (d.d_a, d_h)),
+        ("visual_gate.spatial_visual", _uniform, (d.d_v, d_h)),
+        ("visual_gate.spatial_score", _uniform, (d_h, 1)),
+        ("streams.audio", _uniform, (d.d_a, d_m)),
+        ("streams.visual", _uniform, (d.d_v, d_m)),
+        ("streams.fused", _uniform, (2 * d_m, d_m)),
+        ("audio_branch.query_proj", _uniform, (d_m, d_m)),
+        ("audio_branch.key_proj", _uniform, (d_m, d_m)),
+        ("audio_branch.value_proj", _uniform, (d_m, d_m)),
+        ("visual_branch.query_proj", _uniform, (d_m, d_m)),
+        ("visual_branch.key_proj", _uniform, (d_m, d_m)),
+        ("visual_branch.value_proj", _uniform, (d_m, d_m)),
+        ("interaction.query_proj", _uniform, (d_m, d_m)),
+        ("interaction.key_proj", _uniform, (d_m, d_m)),
+        ("interaction.value_proj", _uniform, (d_m, 2 * d_m)),
         # the heads are the only layers that carry biases
-        ("head.class_weight", 7, _uniform, (2 * d_m, n_out)),
-        ("head.class_bias", 7, _zeros, (1, n_out)),
-        ("head.event_weight", 7, _uniform, (2 * d_m, 1)),
-        ("head.event_bias", 7, _zeros, (1, 1)),
+        ("head.class_weight", _uniform, (2 * d_m, n_out)),
+        ("head.class_bias", _zeros, (1, n_out)),
+        ("head.event_weight", _uniform, (2 * d_m, 1)),
+        ("head.event_bias", _zeros, (1, 1)),
     ]
 
 
@@ -186,9 +188,11 @@ class ModelParams:
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     """Draw all weights from one splittable stream per parameter group."""
     cfg.validate()
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(8)]
-    return ModelParams({name: init(rngs[group], shape)
-                        for name, group, init, shape in param_table(cfg)}, seed)
+    table = param_table(cfg)
+    groups = list(dict.fromkeys(name.split(".")[0] for name, _, _ in table))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(groups))]
+    return ModelParams({name: init(rngs[groups.index(name.split(".")[0])], shape)
+                        for name, init, shape in table}, seed)
 
 
 def _group(named: Mapping[str, Any], prefix: str) -> dict[str, Any]:
@@ -207,9 +211,8 @@ class ForwardPass:
     each stage's parts (`<stage>.<part>`), then its output, in pipeline order."""
 
     leaves: dict[str, ad.Tensor]
-    class_probs: ad.Tensor            # (1, n_out)
-    event_scores: ad.Tensor           # (T, 1)
-    segment_logits: ad.Tensor | None  # (T, n_out), weak mode only
+    class_probs: ad.Tensor   # (1, n_out), the mode's stages["classifier"]
+    event_scores: ad.Tensor  # (T, 1)
     stages: dict[str, ad.Tensor]
 
     def leaf_list(self) -> list[ad.Tensor]:
@@ -262,31 +265,27 @@ def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
         audio_rel, visual_rel, leaves["streams.fused"], _group(leaves, "interaction")))
 
     head_leaves = _group(leaves, "head")
-    class_probs = stages["classifier"] = heads.class_distribution(fused, head_leaves)
-    event_scores = stages["event_relevance"] = heads.event_relevance(fused, head_leaves)
     if cfg.mode == "weak":
-        stages["segment_logits"] = heads.per_segment_logits(fused, head_leaves)
-
-    return ForwardPass(leaves=leaves, class_probs=class_probs, event_scores=event_scores,
-                       segment_logits=stages.get("segment_logits"), stages=stages)
+        segment_logits = stages["segment_logits"] = heads.per_segment_logits(fused, head_leaves)
+        class_probs = heads.weak_class_distribution(segment_logits)
+    else:
+        class_probs = heads.class_distribution(fused, head_leaves)
+    stages["classifier"] = class_probs
+    event_scores = stages["event_relevance"] = heads.event_relevance(fused, head_leaves)
+    return ForwardPass(leaves, class_probs, event_scores, stages)
 
 
 def predict(params: ModelParams, cfg: ModelConfig, bundle: FeatureBundle) -> Prediction:
     """Forward one video on a fresh tape and decode.
 
-    Supervised decoding thresholds the relevance score at 0.5 and assigns the
-    video's argmax class to every event segment. Weak decoding takes the
-    per-segment argmax over C+1 scores (relevance is untrained in weak mode)
-    and reports the time-aggregated distribution as the video-level one.
+    Both modes report the forward's video-level distribution. Supervised
+    decoding thresholds the relevance score at 0.5 and assigns the video's
+    argmax class to every event segment. Weak decoding takes the per-segment
+    argmax over C+1 scores (relevance is untrained in weak mode).
     """
-    tape = ad.Tape()
-    fwd = run_forward(tape, params, bundle.audio, bundle.visual, cfg)
+    fwd = run_forward(ad.Tape(), params, bundle.audio, bundle.visual, cfg)
     event_scores = fwd.event_scores.data[:, 0].copy()
-    if cfg.mode == "weak":
-        probs = ad.softmax(ad.sum_time(fwd.segment_logits), axis=1).data[0]
-        decoded = heads.decode_weak(fwd.segment_logits.data)
-    else:
-        probs = fwd.class_probs.data[0].copy()
-        decoded = heads.decode_supervised(probs, event_scores)
-    return Prediction(video_id=bundle.video_id, event_scores=event_scores,
-                      class_probs=np.asarray(probs), decoded=decoded)
+    probs = fwd.class_probs.data[0].copy()
+    decoded = (heads.decode_weak(fwd.stages["segment_logits"].data) if cfg.mode == "weak"
+               else heads.decode_supervised(probs, event_scores))
+    return Prediction(bundle.video_id, event_scores, probs, decoded)

@@ -113,7 +113,7 @@ def _batch_loss(params: ModelParams, cfg: ModelConfig, bundles: list[FeatureBund
                       _freeze(np.concatenate([b.visual for b in bundles])), cfg)
     classes = [label.video_class for label in labels]
     if cfg.mode == "weak":
-        loss = heads.weak_aggregate_loss(fwd.segment_logits, classes)
+        loss = heads.weak_aggregate_loss(fwd.class_probs, classes)
     else:
         loss = heads.supervised_loss(
             fwd.class_probs, fwd.event_scores, classes,
@@ -252,7 +252,7 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ModelParams, ModelConfig]:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise FormatError(f"{index_path}: seed must be an integer, got {seed!r}")
     cfg = ModelConfig.from_dict(index.get("config"))
-    table = [(name, shape) for name, _, _, shape in param_table(cfg)]
+    table = [(name, shape) for name, _, shape in param_table(cfg)]
     try:
         stored = [(p["name"], tuple(p["shape"])) for p in index["params"]]
     except (KeyError, TypeError) as exc:

@@ -4,6 +4,7 @@ benchmark runs."""
 import json
 import os
 import runpy
+import subprocess
 
 import pytest
 
@@ -103,6 +104,41 @@ def test_src_lines_counts_the_python_files_under_src(tmp_path):
             path.write_text(text)
     assert PAIRS["src_lines"](str(tmp_path / "base")) == 3
     assert PAIRS["src_lines"](str(tmp_path / "change")) == 4
+
+
+def test_both_sides_are_exported_the_same_way(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=repo, check=True, capture_output=True, text=True).stdout
+
+    files = {".gitignore": "out/\n__pycache__/\n", "src/a.py": "a = 1\n", "gone.txt": "x\n"}
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git("init", "-q")
+    git("add", "--all")
+    git("commit", "-q", "-m", "base")
+    (repo / "src/a.py").write_text("a = 2\n")  # a tracked edit
+    (repo / "gone.txt").unlink()                # a tracked file deleted
+    (repo / "new.txt").write_text("new\n")     # untracked, not ignored
+    for ignored in ("out/result.json", "src/__pycache__/a.pyc"):
+        (repo / ignored).parent.mkdir(parents=True, exist_ok=True)
+        (repo / ignored).write_text("ignored\n")
+    status = git("status", "--porcelain")
+
+    def exported(rev):
+        into = tmp_path / f"export-{rev}"
+        PAIRS["_export"](str(repo), rev, str(into))
+        return {str(p.relative_to(into)): p.read_text()
+                for p in sorted(into.rglob("*")) if p.is_file()}
+
+    assert exported("HEAD") == files
+    assert exported(None) == {".gitignore": files[".gitignore"], "src/a.py": "a = 2\n",
+                              "new.txt": "new\n"}
+    assert git("status", "--porcelain") == status  # the repository's index is untouched
 
 
 @pytest.mark.parametrize("change, better, expected", [

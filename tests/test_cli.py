@@ -10,7 +10,8 @@ import pytest
 
 from avloc.cli import _build_parser, main
 from avloc.data import FeatureDims, load_manifest
-from avloc.training import ABLATION_VARIANTS
+from avloc.model import Dims, ModelConfig
+from avloc.training import ABLATION_VARIANTS, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,22 @@ def test_train_motion_flag_spellings(dataset, workspace):
     report = json.load(open(os.path.join(run_dir, "report.json")))
     assert report["config"]["model"]["motion"] == "future_only"
     assert report["config"]["model"]["temporal_attention"] is False
+
+
+def test_train_defaults_are_the_config_defaults(dataset, workspace, monkeypatch):
+    import avloc.cli as cli
+
+    class Captured(Exception):
+        pass
+
+    def capture(cfg, *args, **kwargs):
+        raise Captured(cfg)
+
+    monkeypatch.setattr(cli, "train", capture)
+    with pytest.raises(Captured) as caught:
+        main(["train", "--manifest", dataset, "--out", os.path.join(workspace, "unused")])
+    dims = Dims(**load_manifest(dataset).feature_dims())
+    assert caught.value.args[0] == TrainConfig(model=ModelConfig(dims=dims))
 
 
 def test_eval_on_missing_checkpoint_fails_cleanly(dataset, workspace):

@@ -167,7 +167,7 @@ def test_single_segment_weak_loss_is_plain_cross_entropy():
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(1, C + 1))
     t = ad.Tape("f64")
-    loss = heads.weak_aggregate_loss(t.leaf(logits), 2)
+    loss = heads.weak_aggregate_loss(heads.weak_class_distribution(t.leaf(logits)), 2)
     e = np.exp(logits[0] - logits[0].max())
     expected = -np.log(e[2] / e.sum())
     npt.assert_allclose(loss.item(), expected, atol=1e-9)
@@ -185,14 +185,16 @@ def test_duplicating_segments_keeps_the_video_argmax():
 
 def test_uniform_segment_scores_cost_ln_c_plus_one():
     t = ad.Tape("f64")
-    loss = heads.weak_aggregate_loss(t.leaf(np.zeros((T, C + 1))), 1)
+    loss = heads.weak_aggregate_loss(
+        heads.weak_class_distribution(t.leaf(np.zeros((T, C + 1)))), 1)
     npt.assert_allclose(loss.item(), np.log(C + 1.0), atol=1e-9)
 
 
 def test_weak_label_out_of_range_is_label_error():
     t = ad.Tape()
     with pytest.raises(LabelError):
-        heads.weak_aggregate_loss(t.leaf(np.zeros((T, C + 1))), C + 1)
+        heads.weak_aggregate_loss(
+            heads.weak_class_distribution(t.leaf(np.zeros((T, C + 1)))), C + 1)
 
 
 @pytest.mark.parametrize("n_classes", [1, 4])
@@ -205,7 +207,8 @@ def test_one_video_class_per_video_of_the_tape(mode, n_classes):
     classes = list(range(n_classes))
     with pytest.raises(ShapeError, match="2 video"):
         if mode == "weak":
-            heads.weak_aggregate_loss(t.leaf(rng.normal(size=(2 * T, C + 1))), classes)
+            heads.weak_aggregate_loss(heads.weak_class_distribution(
+                t.leaf(rng.normal(size=(2 * T, C + 1)))), classes)
         else:
             heads.supervised_loss(t.leaf(np.full((2, C), 1.0 / C)),
                                   t.leaf(np.full((2 * T, 1), 0.5)), classes,
@@ -245,7 +248,7 @@ def test_loss_gradients_match_finite_differences():
         tape = ad.Tape("f64")
         f, cw, cb = [tape.leaf(a) for a in arrs]
         logits = ad.add(ad.matmul(f, cw), cb)
-        return heads.weak_aggregate_loss(logits, 3), [f, cw, cb]
+        return heads.weak_aggregate_loss(heads.weak_class_distribution(logits), 3), [f, cw, cb]
 
     result = check_gradients("heads.weak", build_weak, weak_arrays)
     assert result.passed, result.line()

@@ -4,10 +4,11 @@
 
 Each pair runs `perfbench/run.py --trace 0` once on each side with the same
 seed and BENCHMARK.json's run length, the two sides taking turns to go
-first. The base side is `--base` (default HEAD~1) exported with `git
-archive` into a temporary directory, which is removed when the runs end;
-the change side is the working tree as it is, uncommitted edits included.
-Run it from the root of the repository.
+first. Both sides run from copies made the same way (see `_export`) in
+temporary directories, which are removed when the runs end: the base side
+is `--base` (default HEAD~1), and the change side is the working tree as
+it is, uncommitted edits and untracked files included, ignored files left
+out. Run it from the root of the repository.
 
 The output JSON holds both commits, the line count of each side's
 `src/**/*.py` and their difference, the host as the runs' `# env` lines
@@ -160,13 +161,26 @@ def src_lines(tree: str) -> int:
     return total
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
+def _git(*args: str, repo: str = ROOT, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=repo, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
-def _export(rev: str, into: str) -> None:
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+def _export(repo: str, rev: str | None, into: str) -> None:
+    """Extract the repository's `rev`, or with None its working tree, into
+    `into` with `git archive`.
+
+    The working tree is staged into a temporary index, so the repository's
+    own index is untouched: its tracked files as they are on disk, a deleted
+    one left out, and its untracked files that .gitignore does not exclude.
+    """
+    if rev is None:
+        with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+            env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+            _git("read-tree", "HEAD", repo=repo, env=env)
+            _git("add", "--all", repo=repo, env=env)
+            rev = _git("write-tree", repo=repo, env=env)
+    archive = subprocess.run(["git", "archive", rev], cwd=repo, check=True,
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
@@ -204,8 +218,9 @@ def main(argv=None) -> int:
            "seconds": bench["run_seconds"], "host": None, "workloads": {}}
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
-        _export(args.base, scratch)
-        trees = {"base": scratch, "change": ROOT}
+        trees = {side: os.path.join(scratch, side) for side in ("base", "change")}
+        _export(ROOT, args.base, trees["base"])
+        _export(ROOT, None, trees["change"])
         for side, tree in trees.items():
             doc[side]["src_lines"] = src_lines(tree)
         doc["src_lines_change"] = doc["change"]["src_lines"] - doc["base"]["src_lines"]
