@@ -143,7 +143,9 @@ def supervised_loss_terms(class_probs: ad.Tensor, event_scores: ad.Tensor,
 def supervised_loss(class_probs: ad.Tensor, event_scores: ad.Tensor,
                     video_class: int | Sequence[int],
                     segment_relevance: np.ndarray) -> ad.Tensor:
-    return supervised_loss_terms(class_probs, event_scores, video_class, segment_relevance)[0]
+    total, _, _ = supervised_loss_terms(class_probs, event_scores,
+                                        video_class, segment_relevance)
+    return total
 
 
 def weak_aggregate_loss(class_probs: ad.Tensor,
