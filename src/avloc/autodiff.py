@@ -219,8 +219,8 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     tape = _tape_of(a, b)
     videos = tape.videos
     if videos == 1:
-        # a 3-D product takes another BLAS path, whose sums moved the golden
-        # forward's bits, so one video keeps the rank-2 product
+        # a 3-D product over b's transposed view moved the golden forward's
+        # bits (over a contiguous copy it did not), so one video keeps matmul
         return matmul(a, transpose(b) if transpose_b else b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"batched_matmul needs rank-2 operands, got {a.shape} and {b.shape}")

@@ -15,13 +15,10 @@ The output JSON holds both commits, the line count of each side's
 report it, and for each workload and end-to-end metric both sides' values,
 medians and interquartile ranges, the number of pairs the change won
 (strictly better in the metric's direction from BENCHMARK.json), the
-per-pair ratios change/base with their median and interquartile range, the
-p-value of a one-sided sign test over the pairs, and two verdicts:
-`verdict` judges the two sides' runs apart (see `verdict`), and
-`paired_verdict` judges the ratios, so that host drift shared by the two
-runs of a pair cancels (see `paired_verdict`). The run prints both verdicts
-and the line change when it ends. The file is rewritten after every pair,
-so a stopped run keeps the pairs it finished.
+per-pair ratios change/base with their median and interquartile range, and
+one `verdict` (see `verdict`). The run prints the verdicts and the line
+change when it ends. The file is rewritten after every pair, so a stopped
+run keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -38,13 +35,8 @@ import sys
 import tarfile
 import tempfile
 
-from scipy.stats import binomtest
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HOST_KEYS = ("nproc", "cpu", "python", "numpy", "blas", "blas_threads")
-# one-sided sign-test level of a paired gain; over 10 pairs it takes 9 wins
-# (p = 0.011), the same count as the 9-in-10 rule of `verdict`
-ALPHA = 0.05
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -65,6 +57,12 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "values": values}
 
 
+def ratios(base: list[float], change: list[float]) -> list[float]:
+    """change/base per pair; a zero base gives 1 for an equal change and
+    infinity otherwise."""
+    return [c / b if b else (1.0 if c == 0 else math.inf) for b, c in zip(base, change)]
+
+
 def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
     """One metric's verdict over paired runs, `bound` being the fraction of
     the base median by which the change may be worse.
@@ -73,57 +71,23 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
       neither side) and its median is better than the base's by more than
       the interquartile range of the base runs;
     - "worse": its median is worse than the base's by more than the bound;
-    - "unresolved": the base runs' interquartile range is wider than the
-      bound, unless every change run is better than every base run;
+    - "unresolved": the interquartile range of the per-pair ratios
+      change/base, in which host drift shared by the two runs of a pair
+      cancels, is wider than the bound, unless every change run is better
+      than every base run;
     - "within bound" otherwise.
     """
     sign = 1 if better == "higher" else -1
     b, c = _spread(base), _spread(change)
     ahead = sign * (c["median"] - b["median"])
-    limit = bound * abs(b["median"])
     wins = sum(sign * (y - x) > 0 for x, y in zip(base, change))
     if wins >= 0.9 * len(base) and ahead > b["iqr"]:
         return "gain"
-    if -ahead > limit:
+    if -ahead > bound * abs(b["median"]):
         return "worse"
-    if b["iqr"] > limit and not min(sign * y for y in change) > max(sign * x for x in base):
-        return "unresolved"
-    return "within bound"
-
-
-def ratios(base: list[float], change: list[float]) -> list[float]:
-    """change/base per pair; a zero base gives 1 for an equal change and
-    infinity otherwise."""
-    return [c / b if b else (1.0 if c == 0 else math.inf) for b, c in zip(base, change)]
-
-
-def sign_test(base: list[float], change: list[float], better: str) -> float:
-    """p-value of the one-sided sign test that the change is no better than
-    the base, over the pairs that are not ties."""
-    sign = 1 if better == "higher" else -1
-    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-    losses = sum(sign * (c - b) < 0 for b, c in zip(base, change))
-    return binomtest(wins, wins + losses, alternative="greater").pvalue if wins + losses else 1.0
-
-
-def paired_verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
-    """One metric's verdict from the per-pair ratios change/base, `bound`
-    being the fraction by which the change may be worse.
-
-    - "gain": the ratios' median is better than 1 by more than their
-      interquartile range, and the sign test rejects "no better" at ALPHA;
-    - "worse": the ratios' median is worse than 1 by more than the bound;
-    - "unresolved": the ratios' interquartile range is wider than the bound;
-    - "within bound" otherwise.
-    """
-    sign = 1 if better == "higher" else -1
-    r = _spread(ratios(base, change))
-    ahead = sign * (r["median"] - 1.0)
-    if ahead > r["iqr"] and sign_test(base, change, better) < ALPHA:
-        return "gain"
-    if -ahead > bound:
-        return "worse"
-    if r["iqr"] > bound:
+    # an infinite ratio (a zero base run) can make the IQR NaN, which counts as wide
+    if (not _spread(ratios(base, change))["iqr"] <= bound
+            and not min(sign * y for y in change) > max(sign * x for x in base)):
         return "unresolved"
     return "within bound"
 
@@ -142,9 +106,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
                      "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
                      "ties": sum(c == b for b, c in zip(base, change)),
                      "ratio": _spread(ratios(base, change)),
-                     "sign_test_p": sign_test(base, change, better),
-                     "verdict": verdict(base, change, better, bound),
-                     "paired_verdict": paired_verdict(base, change, better, bound)}
+                     "verdict": verdict(base, change, better, bound)}
     out["failed_operations"] = {"base": sum(b["failed"] for b, _ in pairs),
                                 "change": sum(c["failed"] for _, c in pairs)}
     return out
@@ -248,11 +210,11 @@ def main(argv=None) -> int:
     for workload, result in doc["workloads"].items():
         for name, m in result["metrics"].items():
             if name != "failed_operations":
-                print(f"{workload} {name}: {m['verdict']}, paired {m['paired_verdict']} "
+                print(f"{workload} {name}: {m['verdict']} "
                       f"(median {m['base']['median']:.6g} -> {m['change']['median']:.6g}, "
                       f"base IQR {m['base']['iqr']:.3g}, ratio {m['ratio']['median']:.4f} "
                       f"IQR {m['ratio']['iqr']:.3g}, change won {m['change_wins']}/"
-                      f"{result['pairs']}, sign test p {m['sign_test_p']:.3g})")
+                      f"{result['pairs']})")
     print(f"src/ lines: {doc['base']['src_lines']} -> {doc['change']['src_lines']} "
           f"({doc['src_lines_change']:+d})")
     return 0
