@@ -57,12 +57,6 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "values": values}
 
 
-def ratios(base: list[float], change: list[float]) -> list[float]:
-    """change/base per pair; a zero base gives 1 for an equal change and
-    infinity otherwise."""
-    return [c / b if b else (1.0 if c == 0 else math.inf) for b, c in zip(base, change)]
-
-
 def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
     """One metric's verdict over paired runs, `bound` being the fraction of
     the base median by which the change may be worse.
@@ -90,6 +84,12 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
             and not min(sign * y for y in change) > max(sign * x for x in base)):
         return "unresolved"
     return "within bound"
+
+
+def ratios(base: list[float], change: list[float]) -> list[float]:
+    """change/base per pair; a zero base gives 1 for an equal change and
+    infinity otherwise."""
+    return [c / b if b else (1.0 if c == 0 else math.inf) for b, c in zip(base, change)]
 
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
