@@ -165,6 +165,25 @@ def test_pair_ratios_wider_than_the_bound_are_unresolved_unless_every_run_is_bet
     assert PAIRS["verdict"](base, change, better, 0.25) == expected
 
 
+FLAT = [100.0] * 10
+
+
+@pytest.mark.parametrize("base, change, expected", [
+    # pair ratios 1.02 and 1.6 (IQR 0.58), every pair won by more than the base IQR
+    (BASE, [x * r for x, r in zip(BASE, (1.02, 1.6) * 5)], "gain"),
+    # pair ratios 0.2 and 1.0 (IQR 0.8), the median 41% behind
+    (BASE, [x * r for x, r in zip(BASE, (0.2, 1.0) * 5)], "worse"),
+    # pair ratios 1.0 and 1.25: an IQR equal to the bound is not wider
+    (FLAT, [125.0, 100.0] * 5, "within bound"),
+    (FLAT, [126.0, 100.0] * 5, "unresolved"),
+    # eight zero base runs: the ratios' quartiles are both infinite, their IQR NaN
+    ([0.0] * 8 + [1.0, 1.0], [1.0] * 10, "unresolved"),
+], ids=["gain_before_unresolved", "worse_before_unresolved", "ratio_iqr_at_the_bound",
+        "ratio_iqr_past_the_bound", "ratio_iqr_nan"])
+def test_verdict_order_and_the_ratio_iqr_bound(base, change, expected):
+    assert PAIRS["verdict"](base, change, "higher", 0.25) == expected
+
+
 def test_a_paired_lead_inside_the_base_iqr_is_no_gain():
     # 9 of 10 pairs won, ratio median 0.973 with IQR 0.02, against a base
     # IQR of 3% of its median
