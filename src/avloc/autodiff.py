@@ -214,19 +214,17 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """One product per video of two time-indexed operands: (B*m, k) x (B*k, n),
     or x (B*n, k) transposed when `transpose_b`, gives (B*m, n).
 
-    With one video this is `matmul(a, b)` (or `matmul(a, transpose(b))`).
+    Each video's rows have the bits its product has on a one-video tape, and
+    those are the bits of `matmul(a, b)` (or of `matmul(a, transpose(b))`).
     """
     tape = _tape_of(a, b)
     videos = tape.videos
-    if videos == 1:
-        # a 3-D product over b's transposed view moved the golden forward's
-        # bits (over a contiguous copy it did not), so one video keeps matmul
-        return matmul(a, transpose(b) if transpose_b else b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"batched_matmul needs rank-2 operands, got {a.shape} and {b.shape}")
     sa, sb = a.shape, b.shape
     A3, B3 = a.data.reshape(_by_video(sa, videos)), b.data.reshape(_by_video(sb, videos))
-    Bm = B3.transpose(0, 2, 1) if transpose_b else B3
+    # a contiguous copy: over b's transposed view the bits would not be matmul's
+    Bm = np.ascontiguousarray(B3.transpose(0, 2, 1)) if transpose_b else B3
     if A3.shape[2] != Bm.shape[1]:
         raise ShapeError(f"batched_matmul over {videos} videos cannot multiply {sa} by "
                          f"{sb}{' transposed' if transpose_b else ''}")
@@ -579,12 +577,8 @@ def concat(x: Tensor, y: Tensor, axis: int) -> Tensor:
     out = np.concatenate([x.data.reshape(vx), y.data.reshape(vy)], axis=axis + 1)
 
     def backward(g, view=out.shape, sx=x.shape, sy=y.shape):
-        g = g.reshape(view)
-        head = [slice(None)] * g.ndim
-        tail = [slice(None)] * g.ndim
-        head[axis + 1] = slice(0, split)
-        tail[axis + 1] = slice(split, None)
-        return g[tuple(head)].reshape(sx), g[tuple(tail)].reshape(sy)
+        head, tail = np.split(g.reshape(view), [split], axis=axis + 1)
+        return head.reshape(sx), tail.reshape(sy)
 
     return tape._record(out.reshape((-1,) + out.shape[2:]), (x.node_id, y.node_id), backward)
 

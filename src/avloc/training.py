@@ -22,7 +22,8 @@ from . import autodiff as ad
 from . import heads, motion
 from .data import (DatasetManifest, FeatureBundle, LabelRecord, _is_int, load_entry,
                    read_blocks, read_json, synced_open, write_blocks)
-from .errors import ConfigError, ConsistencyError, ContractError, FormatError, TrainingDiverged
+from .errors import (ConfigError, ConsistencyError, ContractError, DataError, FormatError,
+                     TrainingDiverged)
 from .model import (ForwardPass, ModelConfig, ModelParams, _freeze, init_params,
                     param_table, predict, run_forward)
 
@@ -261,6 +262,9 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ModelParams, ModelConfig]:
         raise ConsistencyError(f"{index_path}: parameter list does not match "
                                "this configuration")
     arrays = read_blocks(os.path.join(ckpt_dir, "params.bin"), (shape for _, shape in table))
+    for (name, _), arr in zip(table, arrays):
+        if not np.isfinite(arr).all():
+            raise DataError(f"{ckpt_dir}: parameter {name!r} in params.bin is not finite")
     return ModelParams({name: arr for (name, _), arr in zip(table, arrays)}, seed), cfg
 
 

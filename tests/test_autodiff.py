@@ -625,13 +625,18 @@ def test_batched_matmul_multiplies_each_video_by_its_own_block():
         ad.batched_matmul(t4.leaf(a), t4.leaf(b), transpose_b=True)  # 6 rows, 4 videos
 
 
-def test_batched_matmul_of_one_video_is_matmul():
+@pytest.mark.parametrize("a_shape, b_shape, transpose_b", [
+    ((3, 4), (5, 4), True), ((3, 5), (5, 4), False),
+    ((10, 64), (20, 64), True), ((10, 20), (20, 64), False),  # desk attention scores, mixing
+])
+def test_batched_matmul_of_one_video_is_matmul(a_shape, b_shape, transpose_b):
     rng = np.random.default_rng(23)
-    a, b = rng.normal(size=(3, 4)).astype(np.float32), rng.normal(size=(5, 4)).astype(np.float32)
+    a, b = rng.normal(size=a_shape).astype(np.float32), rng.normal(size=b_shape).astype(np.float32)
     t = ad.Tape()
     ta, tb = t.leaf(a), t.leaf(b)
-    out = ad.batched_matmul(ta, tb, transpose_b=True)
-    assert out.data.tobytes() == ad.matmul(ta, ad.transpose(tb)).data.tobytes()
+    out = ad.batched_matmul(ta, tb, transpose_b=transpose_b)
+    want = ad.matmul(ta, ad.transpose(tb) if transpose_b else tb)
+    assert out.data.tobytes() == want.data.tobytes()
 
 
 @pytest.mark.parametrize("videos,op", [

@@ -17,7 +17,7 @@ from avloc import data, training
 from avloc.cli import main
 from avloc.data import FeatureBundle, load_entry, synth_dataset
 from avloc.errors import (AvlocError, ConfigError, ConsistencyError, ContractError,
-                          FormatError, TrainingDiverged)
+                          DataError, FormatError, TrainingDiverged)
 from avloc.model import Dims, ModelConfig, init_params, predict
 from avloc.training import (ABLATION_VARIANTS, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
                             Adam, AblationRow, AblationTable,
@@ -433,6 +433,12 @@ def _truncate_params(ckpt):
     open(bin_path, "wb").write(raw[:len(raw) // 2])
 
 
+def _nan_last_param(ckpt):
+    bin_path = os.path.join(ckpt, "params.bin")
+    raw = open(bin_path, "rb").read()
+    open(bin_path, "wb").write(raw[:-4] + np.array(np.nan, dtype="<f4").tobytes())
+
+
 def _write_index(raw):
     return lambda ckpt: open(os.path.join(ckpt, "index.json"), "wb").write(raw)
 
@@ -450,6 +456,8 @@ def _edit_index(edit):
     pytest.param(_truncate_params, AvlocError, None, id="truncated_params"),
     pytest.param(lambda ckpt: open(os.path.join(ckpt, "params.bin"), "ab").write(b"junk"),
                  FormatError, "trailing bytes", id="trailing_params_bytes"),
+    pytest.param(_nan_last_param, DataError, r"'head\.event_bias' in params\.bin is not finite",
+                 id="nan_param"),
     pytest.param(_edit_index(lambda ix: ix["config"].update(colour="red")),
                  ConfigError, "colour", id="unknown_config_key"),
     pytest.param(_edit_index(lambda ix: ix.pop("seed")),
