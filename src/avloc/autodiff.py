@@ -4,8 +4,9 @@ The localization network only ever needs a fixed, small set of operations on
 rank-1..4 arrays, so instead of a general framework there is one Tape per
 forward pass: every operation appends a node holding its backward rule, and
 because an operation's inputs must already exist, creation order is a valid
-topological order. `Tape.backward` is then a single reverse sweep that
-accumulates gradients per node and returns one array per requested leaf.
+topological order. `Tape.backward` is then a single reverse sweep that calls
+every rule as backward(g, needed) and returns one array per requested leaf.
+Every op and its rule live here, the model's fused motion op included.
 
 Tensors are immutable; parameter updates happen outside the tape on plain
 numpy arrays. Backward rules capture arrays and shapes, never Tensors: a
@@ -82,25 +83,21 @@ class Tape:
         self.dtype = _DTYPES[precision]
         self._inputs: list[tuple[int, ...]] = []
         self._backwards: list[Callable | None] = []
-        self._selective: set[int] = set()  # nodes whose rule takes `needed`
         self._consumed = False
 
     def __len__(self) -> int:
         return len(self._inputs)
 
-    def _record(self, data, input_ids: tuple[int, ...], backward,
-                selective: bool = False) -> Tensor:
-        """Append a node. A rule is called as backward(g) and returns one
-        gradient per input; a `selective` rule is called as backward(g, needed)
-        and may return None for an input whose `needed` flag is False."""
+    def _record(self, data, input_ids: tuple[int, ...], backward) -> Tensor:
+        """Append a node. Its rule is called as backward(g, needed), where
+        needed[i] says if a requested leaf can be reached from input i, and
+        returns one gradient per input, or None where needed[i] is False."""
         data = np.asarray(data, dtype=self.dtype)
         if not data.flags.c_contiguous:
             data = np.ascontiguousarray(data)
         node_id = len(self._inputs)
         self._inputs.append(input_ids)
         self._backwards.append(backward)
-        if selective:
-            self._selective.add(node_id)
         return Tensor(data, self, node_id)
 
     def leaf(self, data) -> Tensor:
@@ -161,10 +158,7 @@ class Tape:
             # a finished node's gradient is dropped unless it was asked for
             g = grads[node_id] if node_id in requested else grads.pop(node_id)
             input_ids = self._inputs[node_id]
-            if node_id in self._selective:
-                gins = backward(g, tuple(reach[i] for i in input_ids))
-            else:
-                gins = backward(g)
+            gins = backward(g, tuple(reach[i] for i in input_ids))
             for input_id, gin in zip(input_ids, gins):
                 if reach[input_id]:
                     seen = grads.get(input_id)
@@ -194,13 +188,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g, needed):
         return g @ B.T if needed[0] else None, A.T @ g if needed[1] else None
 
-    return tape._record(A @ B, (a.node_id, b.node_id), backward, selective=True)
+    return tape._record(A @ B, (a.node_id, b.node_id), backward)
 
 
 def transpose(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise ShapeError(f"transpose is defined for rank-2 tensors, got {x.shape}")
-    return x.tape._record(x.data.T, (x.node_id,), lambda g: (g.T,))
+    return x.tape._record(x.data.T, (x.node_id,), lambda g, needed: (g.T,))
 
 
 def _by_video(shape: tuple[int, ...], videos: int) -> tuple[int, ...]:
@@ -240,8 +234,7 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
             gb = gb.reshape(sb)
         return ga, gb
 
-    return tape._record(out.reshape(-1, out.shape[2]), (a.node_id, b.node_id), backward,
-                        selective=True)
+    return tape._record(out.reshape(-1, out.shape[2]), (a.node_id, b.node_id), backward)
 
 
 def _zero_edges(a: np.ndarray, oi: int, oj: int) -> None:
@@ -394,8 +387,79 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         gk = _conv_kernel_grads(X, [g], K.shape[0])[0] if needed[1] else None
         return gx, gk
 
-    return tape._record(_conv_forward(X, K), (x.node_id, kernel.node_id), backward,
-                        selective=True)
+    return tape._record(_conv_forward(X, K), (x.node_id, kernel.node_id), backward)
+
+
+def neighbor_motion(aligned: Tensor, future_kernel: Tensor,
+                    past_kernel: Tensor | None) -> Tensor:
+    """future + past as one tape node, where per video future[t] =
+    conv(aligned)[t + 1] - aligned[t] and past[t] = conv'(aligned)[t] -
+    aligned[t - 1], each exactly zero in the row it lacks, and a missing past
+    kernel is a past of zeros.
+
+    Forward and backward do, value for value, the arithmetic of composing
+    each direction from conv2d, slice_axis, sub, zeros and concat and adding
+    them, in the order the tape's reverse sweep runs it, and the two kernel
+    gradients share one im2col of `aligned`.
+    """
+    # in the node's input order: (aligned, past, future) or (aligned, future)
+    kernels = (future_kernel,) if past_kernel is None else (past_kernel, future_kernel)
+    tape = _tape_of(aligned, *kernels)
+    for kernel in kernels:
+        _check_conv(aligned.shape, kernel.shape)
+        if kernel.shape != future_kernel.shape or kernel.shape[3] != aligned.shape[3]:
+            raise ShapeError(f"motion kernels must both map the {aligned.shape[3]} channels "
+                             f"of {aligned.shape} to themselves, got "
+                             f"{[k.shape for k in kernels]}")
+    view = _by_video(aligned.shape, tape.videos)
+    T = view[1]
+    if T < 2:
+        raise ContractError(f"motion extraction needs T >= 2, got T={T}")
+    X = aligned.data
+    x = X.reshape(view)
+    K_future = future_kernel.data
+    K_past = None if past_kernel is None else past_kernel.data
+
+    def difference(K, zero_row: int) -> np.ndarray:
+        # conv(x)[1:] - x[:-1] per video, beside an exact zero row
+        d = np.empty(view, dtype=X.dtype)
+        d[:, zero_row] = 0.0
+        body = slice(1, T) if zero_row == 0 else slice(0, T - 1)
+        np.subtract(_conv_forward(X, K).reshape(view)[:, 1:], x[:, :-1], out=d[:, body])
+        return d
+
+    out = difference(K_future, T - 1)
+    # a missing past adds +0.0, as adding a zeros grid did: a -0.0 becomes +0.0
+    out += 0.0 if K_past is None else difference(K_past, 0)
+
+    def backward(g, needed):
+        g = g.reshape(view)
+        g_future = np.empty(view, dtype=g.dtype)  # at the future conv: g one row later
+        g_future[:, 0] = 0.0
+        g_future[:, 1:] = g[:, :-1]
+        if K_past is not None:  # at the past conv: g less its first row
+            g_past = g.copy()
+            g_past[:, 0] = 0.0
+        gx = None
+        if needed[0]:
+            # summed as the composed chain's reverse sweep adds them: the
+            # future slice, the future conv, the past slice, the past conv
+            gx = np.empty(view, dtype=g.dtype)
+            gx[:, T - 1] = 0.0
+            np.negative(g[:, :-1], out=gx[:, :-1])
+            gx += _conv_input_grad(g_future.reshape(X.shape), K_future).reshape(view)
+            if K_past is not None:
+                gx[:, :-1] -= g[:, 1:]  # its +0.0 in row T - 1 changes no bit there
+                gx += _conv_input_grad(g_past.reshape(X.shape), K_past).reshape(view)
+            gx = gx.reshape(X.shape)
+        g_convs = [g_future] if K_past is None else [g_past, g_future]  # input order
+        gks = iter(_conv_kernel_grads(
+            X, [g.reshape(X.shape) for g, flag in zip(g_convs, needed[1:]) if flag],
+            K_future.shape[0]))
+        return (gx,) + tuple(next(gks) if flag else None for flag in needed[1:])
+
+    return tape._record(out.reshape(X.shape), (aligned.node_id,) + tuple(
+        kernel.node_id for kernel in kernels), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +469,7 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     # the rule keeps the output, which its consumer usually keeps too, not the input
     Y = np.maximum(x.data, 0)
-    return x.tape._record(Y, (x.node_id,), lambda g: (g * (Y > 0),))
+    return x.tape._record(Y, (x.node_id,), lambda g, needed: (g * (Y > 0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -413,12 +477,12 @@ def sigmoid(x: Tensor) -> Tensor:
     # is the right 0, and underflows harmlessly for large x
     with np.errstate(over="ignore", under="ignore"):
         s = 1.0 / (1.0 + np.exp(-x.data))
-    return x.tape._record(s, (x.node_id,), lambda g: (g * s * (1.0 - s),))
+    return x.tape._record(s, (x.node_id,), lambda g, needed: (g * s * (1.0 - s),))
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
-    return x.tape._record(t, (x.node_id,), lambda g: (g * (1.0 - t * t),))
+    return x.tape._record(t, (x.node_id,), lambda g, needed: (g * (1.0 - t * t),))
 
 
 def _normalize_axis(axis: int, ndim: int) -> int:
@@ -437,7 +501,7 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     e = np.exp(z)
     s = e / e.sum(axis=axis, keepdims=True)
 
-    def backward(g, shape=x.shape):
+    def backward(g, needed, shape=x.shape):
         g = g.reshape(s.shape)
         return ((s * (g - (g * s).sum(axis=axis, keepdims=True))).reshape(shape),)
 
@@ -449,7 +513,7 @@ def log_clamped(x: Tensor) -> Tensor:
     X = x.data
     clamped = np.maximum(X, LOG_FLOOR)
 
-    def backward(g):
+    def backward(g, needed):
         return (np.where(X > LOG_FLOOR, g / clamped, 0.0),)
 
     return x.tape._record(np.log(clamped), (x.node_id,), backward)
@@ -466,7 +530,7 @@ def avg_spatial(x: Tensor) -> Tensor:
     _, h, w, _ = x.shape
     n = h * w
 
-    def backward(g, shape=x.shape):
+    def backward(g, needed, shape=x.shape):
         return (np.broadcast_to(g[:, None, None, :], shape) / n,)
 
     return x.tape._record(x.data.mean(axis=(1, 2)), (x.node_id,), backward)
@@ -480,7 +544,7 @@ def max_time(x: Tensor) -> Tensor:
     X = x.data.reshape(_by_video(x.shape, x.tape.videos))
     idx = X.argmax(axis=1)[:, None, :]  # first occurrence == lowest index
 
-    def backward(g, shape=x.shape):
+    def backward(g, needed, shape=x.shape):
         gx = np.zeros_like(X)
         np.put_along_axis(gx, idx, g[:, None, :], axis=1)
         return (gx.reshape(shape),)
@@ -494,7 +558,7 @@ def sum_time(x: Tensor) -> Tensor:
         raise ShapeError(f"sum_time needs (T,d), got {x.shape}")
     X = x.data.reshape(_by_video(x.shape, x.tape.videos))
 
-    def backward(g, rows=X.shape[1]):
+    def backward(g, needed, rows=X.shape[1]):
         return (np.repeat(g, rows, axis=0),)
 
     return x.tape._record(X.sum(axis=1), (x.node_id,), backward)
@@ -503,7 +567,7 @@ def sum_time(x: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     """Any shape -> (1, 1) total."""
 
-    def backward(g, shape=x.shape):
+    def backward(g, needed, shape=x.shape):
         return (np.full(shape, g.reshape(-1)[0], dtype=g.dtype),)
 
     return x.tape._record(x.data.sum().reshape(1, 1), (x.node_id,), backward)
@@ -529,7 +593,7 @@ def add(x: Tensor, y: Tensor) -> Tensor:
     _check_broadcast(x.shape, y.shape)
     tape = _tape_of(x, y)
 
-    def backward(g, sx=x.shape, sy=y.shape):
+    def backward(g, needed, sx=x.shape, sy=y.shape):
         return _unbroadcast(g, sx), _unbroadcast(g, sy)
 
     return tape._record(x.data + y.data, (x.node_id, y.node_id), backward)
@@ -539,7 +603,7 @@ def sub(x: Tensor, y: Tensor) -> Tensor:
     _check_broadcast(x.shape, y.shape)
     tape = _tape_of(x, y)
 
-    def backward(g, sx=x.shape, sy=y.shape):
+    def backward(g, needed, sx=x.shape, sy=y.shape):
         return _unbroadcast(g, sx), _unbroadcast(-g, sy)
 
     return tape._record(x.data - y.data, (x.node_id, y.node_id), backward)
@@ -550,7 +614,7 @@ def mul(x: Tensor, y: Tensor) -> Tensor:
     tape = _tape_of(x, y)
     X, Y = x.data, y.data
 
-    def backward(g, sx=x.shape, sy=y.shape):
+    def backward(g, needed, sx=x.shape, sy=y.shape):
         return _unbroadcast(g * Y, sx), _unbroadcast(g * X, sy)
 
     return tape._record(X * Y, (x.node_id, y.node_id), backward)
@@ -559,7 +623,7 @@ def mul(x: Tensor, y: Tensor) -> Tensor:
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a compile-time constant (not a differentiable operand)."""
     c = x.tape.dtype(c)
-    return x.tape._record(x.data * c, (x.node_id,), lambda g: (g * c,))
+    return x.tape._record(x.data * c, (x.node_id,), lambda g, needed: (g * c,))
 
 
 def concat(x: Tensor, y: Tensor, axis: int) -> Tensor:
@@ -576,7 +640,7 @@ def concat(x: Tensor, y: Tensor, axis: int) -> Tensor:
     split = vx[axis + 1]
     out = np.concatenate([x.data.reshape(vx), y.data.reshape(vy)], axis=axis + 1)
 
-    def backward(g, view=out.shape, sx=x.shape, sy=y.shape):
+    def backward(g, needed, view=out.shape, sx=x.shape, sy=y.shape):
         head, tail = np.split(g.reshape(view), [split], axis=axis + 1)
         return head.reshape(sx), tail.reshape(sy)
 
@@ -592,7 +656,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     if np.prod(shape, dtype=int) != x.data.size or not 1 <= len(shape) <= MAX_RANK:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
 
-    def backward(g, in_shape=x.shape):
+    def backward(g, needed, in_shape=x.shape):
         return (g.reshape(in_shape),)
 
     return x.tape._record(x.data.reshape(shape), (x.node_id,), backward)
@@ -605,12 +669,10 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= view[axis + 1]:
         raise ShapeError(f"slice [{start}:{stop}] is invalid for axis {axis} of {x.shape}"
                          f" over {x.tape.videos} video(s)")
-    sl = [slice(None)] * len(view)
-    sl[axis + 1] = slice(start, stop)
-    sl = tuple(sl)
+    sl = (slice(None),) * (axis + 1) + (slice(start, stop),)
     out = x.data.reshape(view)[sl]
 
-    def backward(g, shape=x.shape, piece=out.shape, dtype=x.data.dtype):
+    def backward(g, needed, shape=x.shape, piece=out.shape, dtype=x.data.dtype):
         gx = np.zeros(view, dtype=dtype)
         gx[sl] = g.reshape(piece)
         return (gx.reshape(shape),)

@@ -12,7 +12,7 @@ from . import gradcheck, motion
 from .data import FeatureDims, load_manifest, synth_dataset, synced_open
 from .errors import AvlocError, ConfigError
 from .model import MODES, Dims, ModelConfig
-from .training import (TrainConfig, ablate, evaluate, load_checkpoint, train)
+from .training import TrainConfig, ablate, check_ablation, evaluate, load_checkpoint, train
 
 ABLATE_EPOCHS = 80  # per-variant training budget used by the ablate subcommand
 
@@ -104,6 +104,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "eval":
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.report))):
+            raise ConfigError(f"--report {args.report}: its directory does not exist")
         params, model_cfg = load_checkpoint(args.checkpoint)
         accuracy, per_class, predictions = evaluate(params, model_cfg,
                                                     manifest, base_dir)
@@ -125,8 +127,9 @@ def _dispatch(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--seeds must be integers, got {args.seeds!r}") from exc
         base = TrainConfig(model=ModelConfig(dims=dims), epochs=ABLATE_EPOCHS)
+        check_ablation(base, manifest, seeds)
+        os.makedirs(args.out, exist_ok=True)  # before the grid, which writes only at the end
         table = ablate(base, manifest, base_dir, seeds)
-        os.makedirs(args.out, exist_ok=True)
         json_path = os.path.join(args.out, "ablation.json")
         csv_path = os.path.join(args.out, "ablation.csv")
         with synced_open(json_path) as f:

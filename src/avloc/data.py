@@ -475,4 +475,6 @@ def nearest_prototype_accuracy(manifest: DatasetManifest, base_dir: str,
                 pred = int(np.argmax(prototypes @ bundle.audio[t]))
                 hits += pred == entry.label.video_class
                 total += 1
-    return hits / total if total else 0.0
+    if not total:
+        raise ContractError("the manifest has no relevant segment to classify")
+    return hits / total

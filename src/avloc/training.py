@@ -141,10 +141,12 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
     cfg.validate()
     if not manifest.entries:
         raise ContractError("training needs at least one video; the manifest has none")
+    _check_dims(cfg.model, manifest)
+    if out_dir:  # an out_dir that cannot be made fails before any feature is read
+        os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
     bundles = [load_entry(manifest, e, base_dir) for e in manifest.entries]
     labels = [e.label for e in manifest.entries]
-    _check_dims(cfg.model, manifest)
 
     params = init_params(cfg.model, cfg.seed)
     opt = Adam(params, cfg.learning_rate)
@@ -176,7 +178,6 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
                            config=cfg.to_dict(),
                            wall_time_s=time.perf_counter() - started)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "checkpoint"), params, cfg.model)
         with synced_open(os.path.join(out_dir, "report.json")) as f:
             json.dump(report.to_dict(), f, indent=1)
@@ -325,18 +326,23 @@ def split_manifest(manifest: DatasetManifest) -> tuple[DatasetManifest, DatasetM
     return train, held
 
 
+def check_ablation(base: TrainConfig, manifest: DatasetManifest, seeds: list[int]) -> None:
+    """Every check `ablate` makes before its first run trains."""
+    if len(seeds) < 2:
+        raise ContractError("ablation needs at least 2 seeds")
+    for seed in seeds:
+        replace(base, seed=seed).validate()
+    if len(manifest.entries) < HOLDOUT_EVERY:  # else the held-out split is empty
+        raise ContractError(f"ablation holds out every {HOLDOUT_EVERY}th video, so it needs "
+                            f"at least {HOLDOUT_EVERY}; the manifest has {len(manifest.entries)}")
+
+
 def ablate(base: TrainConfig, manifest: DatasetManifest, base_dir: str,
            seeds: list[int]) -> AblationTable:
     """Run every motion/temporal-attention variant across seeds and report
     held-out segment accuracy per run."""
-    if len(seeds) < 2:
-        raise ContractError("ablation needs at least 2 seeds")
-    for seed in seeds:  # a bad seed fails before any run trains
-        replace(base, seed=seed).validate()
+    check_ablation(base, manifest, seeds)
     train_manifest, held_manifest = split_manifest(manifest)
-    if not held_manifest.entries:
-        raise ContractError(f"ablation holds out every {HOLDOUT_EVERY}th video, so it needs "
-                            f"at least {HOLDOUT_EVERY}; the manifest has {len(manifest.entries)}")
     rows = []
     for variant, motion_mode, temporal in ABLATION_VARIANTS:
         for seed in seeds:

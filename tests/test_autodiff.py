@@ -295,10 +295,26 @@ def test_combine_incompatible_shapes():
         ad.concat(t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 4))), axis=0)
 
 
-def test_operands_must_share_a_tape():
+@pytest.mark.parametrize("op, shapes", [
+    (ad.add, [(2, 2), (2, 2)]),
+    (ad.sub, [(2, 2), (2, 2)]),
+    (ad.mul, [(2, 2), (2, 2)]),
+    (ad.matmul, [(2, 3), (3, 4)]),
+    (ad.batched_matmul, [(2, 3), (3, 4)]),
+    (lambda a, b: ad.batched_matmul(a, b, transpose_b=True), [(2, 3), (4, 3)]),
+    (ad.conv2d, [(2, 3, 3, 2), (3, 3, 2, 4)]),
+    (lambda a, b: ad.concat(a, b, axis=0), [(2, 3), (4, 3)]),
+    (lambda a, b: ad.concat(a, b, axis=1), [(2, 3), (2, 4)]),
+    (ad.neighbor_motion, [(2, 3, 3, 2), (3, 3, 2, 2), (3, 3, 2, 2)]),
+], ids=["add", "sub", "mul", "matmul", "batched_matmul", "batched_matmul_transpose_b",
+        "conv2d", "concat_axis0", "concat_axis1", "neighbor_motion"])
+def test_operands_must_share_a_tape(op, shapes):
+    """The shapes fit, so an operand on another tape is the only fault: a
+    contract error, not a shape error."""
     t1, t2 = ad.Tape(), ad.Tape()
+    operands = [t1.leaf(np.ones(s)) for s in shapes[:-1]] + [t2.leaf(np.ones(shapes[-1]))]
     with pytest.raises(ContractError):
-        ad.add(t1.leaf(np.ones((2, 2))), t2.leaf(np.ones((2, 2))))
+        op(*operands)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +421,8 @@ def test_backward_skips_inputs_that_reach_no_requested_leaf():
     assert gk.tobytes() == gk_skip.tobytes() and gw.tobytes() == gw_skip.tobytes()
     assert np.abs(gx).sum() > 0
     assert len(asked["relu"]) == 1 and not skipped["relu"]
+    (needed, _), = asked["relu"]
+    assert needed == ((True,),)  # every rule is called as backward(g, needed)
     for op in ("conv2d", "matmul"):
         (needed, result), = skipped[op]
         assert needed == ((False, True),) and result[0] is None and result[1] is not None

@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import pytest
 
+from avloc import cli, training
 from avloc.cli import _build_parser, main
 from avloc.data import FeatureDims, load_manifest
 from avloc.model import Dims, ModelConfig
@@ -213,6 +214,37 @@ def test_too_few_videos_is_a_typed_error(dataset, workspace, capsys, command, vi
     assert main([command, "--manifest", os.path.join(data, "manifest.json")] + target) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, module, work", [
+    ("train", training, "_batch_loss"),
+    ("eval", cli, "evaluate"),
+    ("ablate", cli, "ablate"),
+], ids=["train", "eval", "ablate"])
+def test_an_output_that_cannot_be_written_fails_before_the_work(
+        dataset, workspace, capsys, monkeypatch, command, module, work):
+    """`train --out F` and `ablate --out F` with F a file, and `eval --report`
+    into a missing directory, exit 2 before any training, grid or evaluation
+    runs, and write nothing."""
+    blocker = os.path.join(workspace, f"blocker_{command}")
+    with open(blocker, "w") as f:
+        f.write("kept")
+    missing = os.path.join(workspace, "missing_dir")
+    target = ["--out", blocker]
+    if command == "eval":
+        run_dir = os.path.join(workspace, "run_for_missing_dir")
+        assert main(["train", "--manifest", dataset, "--epochs", "1", "--out", run_dir]) == 0
+        target = ["--checkpoint", os.path.join(run_dir, "checkpoint"),
+                  "--report", os.path.join(missing, "r.json")]
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{work} ran although the output cannot be written")
+
+    monkeypatch.setattr(module, work, fail)
+    capsys.readouterr()
+    assert main([command, "--manifest", dataset] + target) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert open(blocker).read() == "kept" and not os.path.exists(missing)
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])

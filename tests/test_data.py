@@ -298,6 +298,17 @@ def test_nearest_prototype_is_perfect_without_noise(tmp_path):
                                       info.audio_prototypes) == 1.0
 
 
+@pytest.mark.parametrize("n_videos, background_fraction", [(6, 1.0), (0, 0.0)],
+                         ids=["all_background", "no_videos"])
+def test_nearest_prototype_rejects_a_manifest_with_no_relevant_segment(
+        tmp_path, n_videos, background_fraction):
+    """With nothing to classify there is no accuracy, not an accuracy of 0."""
+    manifest, info = synth_dataset(str(tmp_path), seed=1, n_videos=n_videos,
+                                   background_fraction=background_fraction)
+    with pytest.raises(ContractError, match="no relevant segment"):
+        nearest_prototype_accuracy(manifest, str(tmp_path), info.audio_prototypes)
+
+
 def test_full_span_video_marks_every_segment_relevant(tmp_path):
     manifest, info = synth_dataset(str(tmp_path), seed=2, n_videos=40, T=4)
     full = [i for i, (s, e) in enumerate(info.spans) if (s, e) == (0, 4)]
