@@ -30,10 +30,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import _is_int
+from .data import MAX_RANK, _is_int
 from .errors import ConfigError, ContractError, ShapeError
 
-MAX_RANK = 4
 LOG_FLOOR = 1e-12  # log_clamped's floor
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -115,7 +114,7 @@ class Tape:
         return self.leaf(np.zeros(shape, dtype=self.dtype))
 
     def backward(self, loss: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
-        """Reverse sweep from a scalar loss; returns one gradient per leaf.
+        """Reverse sweep from a scalar loss; returns one C-ordered gradient per leaf.
 
         Gradients of multiply-used nodes accumulate by summation, and leaves
         the loss never touched come back as zeros of the leaf shape. Only
@@ -163,8 +162,8 @@ class Tape:
                 if reach[input_id]:
                     seen = grads.get(input_id)
                     grads[input_id] = gin if seen is None else seen + gin
-        return [np.array(grads[t.node_id]) if t.node_id in grads else np.zeros_like(t.data)
-                for t in leaves]
+        return [np.array(grads[t.node_id], order="C") if t.node_id in grads
+                else np.zeros_like(t.data) for t in leaves]
 
 
 def _tape_of(*tensors: Tensor) -> Tape:
@@ -338,16 +337,15 @@ def _conv_kernel_grads(X: np.ndarray, gs: Sequence[np.ndarray], k: int) -> list[
     of k x k convs of the same input X, from one im2col of X (X's own rows
     for a 1x1 kernel) that all of gs share.
 
-    With k > 1 and c_in and c_out both >= 2 each gradient is one product
-    against it, with the k*k taps along the product's columns. A value then
-    sums the same products over the same rows as a per-tap product, but BLAS
-    may run the two products through other kernels, and their bits agree
-    only at some sizes (see the README's motion section): the desk model's
-    kernel gradients keep the per-tap bits in mini-batches of 32 videos but
-    not of 5-10. A product with one channel on either side is a GEMV, whose
-    sums depend on how the taps are laid out, and a 1x1 kernel has one tap:
-    those take one product per tap, over a contiguous copy of the tap's
-    columns.
+    Each gradient is one product against it, with the k*k taps along the
+    product's columns. A value then sums the same products over the same
+    rows as a per-tap product, but BLAS may run the two products through
+    other kernels, and their bits agree only at some sizes (see the README's
+    motion section): the desk model's kernel gradients keep the per-tap bits
+    in mini-batches of 32 videos but not of 5-10. With k > 1, a product with
+    one channel on either side is a GEMV, whose sums depend on how the taps
+    are laid out: those take one product per tap, over a contiguous copy of
+    the tap's columns.
     """
     c_in = X.shape[3]
     cols = _im2col(X, k) if k > 1 else X.reshape(-1, c_in)
@@ -355,7 +353,7 @@ def _conv_kernel_grads(X: np.ndarray, gs: Sequence[np.ndarray], k: int) -> list[
     for g in gs:
         c_out = g.shape[-1]
         g_rows = g.reshape(-1, c_out)
-        if k > 1 and c_in >= 2 and c_out >= 2:
+        if k == 1 or min(c_in, c_out) >= 2:
             out.append((g_rows.T @ cols).reshape(c_out, k, k, c_in).transpose(1, 2, 3, 0))
             continue
         gk = np.empty((k * k, c_in, c_out), dtype=X.dtype)

@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import gradcheck, motion
 from .data import FeatureDims, load_manifest, synth_dataset, synced_open
@@ -106,13 +106,15 @@ def _dispatch(args) -> int:
     if args.command == "eval":
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.report))):
             raise ConfigError(f"--report {args.report}: its directory does not exist")
+        if os.path.isdir(args.report):
+            raise ConfigError(f"--report {args.report}: is a directory")
         params, model_cfg = load_checkpoint(args.checkpoint)
         accuracy, per_class, predictions = evaluate(params, model_cfg,
                                                     manifest, base_dir)
         report = {
             "accuracy": accuracy,
             "per_class": per_class,
-            "config": model_cfg.to_dict(),
+            "config": asdict(model_cfg),
             "predictions": [p.to_record() for p in predictions],
         }
         with synced_open(args.report) as f:

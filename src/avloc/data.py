@@ -33,7 +33,7 @@ from .errors import (ConfigError, ConsistencyError, ContractError, DataError,
                      FormatError, LabelError)
 
 MAGIC = b"AVF1"
-_MAX_RANK = 4
+MAX_RANK = 4
 MANIFEST_VERSION = "avf-synth-1"
 DRIFT_STEP = np.pi / 2  # synth_dataset's rotation of the event pattern per segment
 AMPLITUDE = 4.0         # synth_dataset's factor on signal and noise
@@ -289,8 +289,8 @@ def _read_block(f, path: str, shape: tuple[int, ...]) -> np.ndarray:
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     rank = int(np.frombuffer(_read_exact(f, 4, path, "rank"), dtype="<u4")[0])
-    if not 1 <= rank <= _MAX_RANK:
-        raise FormatError(f"{path}: block rank {rank} outside 1..{_MAX_RANK}")
+    if not 1 <= rank <= MAX_RANK:
+        raise FormatError(f"{path}: block rank {rank} outside 1..{MAX_RANK}")
     extents = tuple(
         int(n) for n in np.frombuffer(_read_exact(f, 4 * rank, path, "extents"), dtype="<u4"))
     if any(n < 1 for n in extents):
@@ -344,7 +344,6 @@ class SynthInfo:
     """Generator-side truth that is not part of the on-disk dataset."""
 
     audio_prototypes: np.ndarray   # (C, d_a), orthonormal rows
-    visual_patterns: np.ndarray    # (C, 2, h, w, d_v), two orthonormal frames per class
     spans: list[tuple[int, int]]
     distractor_masks: list[np.ndarray]  # (T,) bool per video
 
@@ -458,9 +457,8 @@ def synth_dataset(out_dir: str, seed: int, n_videos: int, *, snr: float = 3.0,
         masks.append(distractor)
 
     save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
-    return manifest, SynthInfo(audio_prototypes=audio_protos,
-                               visual_patterns=visual_patterns,
-                               spans=spans, distractor_masks=masks)
+    return manifest, SynthInfo(audio_prototypes=audio_protos, spans=spans,
+                               distractor_masks=masks)
 
 
 def nearest_prototype_accuracy(manifest: DatasetManifest, base_dir: str,

@@ -10,7 +10,7 @@ anything downstream, which is what the ablation runner exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
@@ -65,9 +65,6 @@ class ModelConfig:
     def n_class_outputs(self) -> int:
         # weak mode scores background as an explicit extra class
         return self.dims.classes + (1 if self.mode == "weak" else 0)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":

@@ -49,10 +49,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass
 class MetricsReport:
     losses: list[float]
@@ -60,10 +56,6 @@ class MetricsReport:
     per_class: dict[str, float | None]
     config: dict
     wall_time_s: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class Adam:
     """Per-parameter adaptive moments with the module's ADAM_* constants."""
@@ -175,12 +167,12 @@ def train(cfg: TrainConfig, manifest: DatasetManifest, base_dir: str,
 
     accuracy, per_class, _ = _score(params, cfg.model, manifest, bundles)
     report = MetricsReport(losses=losses, accuracy=accuracy, per_class=per_class,
-                           config=cfg.to_dict(),
+                           config=asdict(cfg),
                            wall_time_s=time.perf_counter() - started)
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "checkpoint"), params, cfg.model)
         with synced_open(os.path.join(out_dir, "report.json")) as f:
-            json.dump(report.to_dict(), f, indent=1)
+            json.dump(asdict(report), f, indent=1)
     return params, report
 
 
@@ -238,7 +230,7 @@ def save_checkpoint(ckpt_dir: str, params: ModelParams, cfg: ModelConfig) -> Non
     index = {
         "format": CHECKPOINT_VERSION,
         "seed": params.seed,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "params": [{"name": n, "shape": list(a.shape)} for n, a in items],
     }
     with synced_open(os.path.join(ckpt_dir, "index.json")) as f:

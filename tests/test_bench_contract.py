@@ -3,12 +3,14 @@ lists must still resolve, so a rename shows up here rather than only in a
 traced benchmark run. The tracer also reads operand shapes, so a short
 traced training run must go through it without an error."""
 
+import inspect
 import os
 import runpy
 
 import pytest
 
 import avloc
+from avloc import autodiff as ad
 from avloc.data import load_entry, synth_dataset
 
 # run_path compiles the file in memory: nothing is imported or cached under perfbench/
@@ -41,3 +43,12 @@ def test_traced_batched_training_and_predict_run_through_the_tracer(tmp_path):
     names = {span[0] for span in tracer.spans}
     assert {"autodiff.conv2d", "autodiff.matmul", "heads.supervised_loss"} <= names
     assert tracer.leftover_wrappers() == []
+
+
+@pytest.mark.xfail(strict=True, reason="perfbench's OPS omits batched_matmul and "
+                   "neighbor_motion (ROADMAP item 4 derives OPS from the module)")
+def test_every_public_tensor_op_is_traced():
+    ops = {name for name, obj in vars(ad).items()
+           if not name.startswith("_") and inspect.isfunction(obj)
+           and obj.__module__ == ad.__name__}
+    assert ops - set(SPANS["OPS"]) == set()

@@ -216,16 +216,18 @@ def test_too_few_videos_is_a_typed_error(dataset, workspace, capsys, command, vi
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("command, module, work", [
-    ("train", training, "_batch_loss"),
-    ("eval", cli, "evaluate"),
-    ("ablate", cli, "ablate"),
-], ids=["train", "eval", "ablate"])
+@pytest.mark.parametrize("command, module, works, report", [
+    ("train", training, ("_batch_loss",), None),
+    ("eval", cli, ("load_checkpoint", "evaluate"), "in_missing_dir"),
+    ("eval", cli, ("load_checkpoint", "evaluate"), "directory"),
+    ("ablate", cli, ("ablate",), None),
+], ids=["train", "eval", "eval_report_is_a_directory", "ablate"])
 def test_an_output_that_cannot_be_written_fails_before_the_work(
-        dataset, workspace, capsys, monkeypatch, command, module, work):
+        dataset, workspace, capsys, monkeypatch, command, module, works, report):
     """`train --out F` and `ablate --out F` with F a file, and `eval --report`
-    into a missing directory, exit 2 before any training, grid or evaluation
-    runs, and write nothing."""
+    into a missing directory or naming an existing directory, exit 2 before
+    any training, grid, checkpoint load or evaluation runs, and write
+    nothing."""
     blocker = os.path.join(workspace, f"blocker_{command}")
     with open(blocker, "w") as f:
         f.write("kept")
@@ -234,17 +236,23 @@ def test_an_output_that_cannot_be_written_fails_before_the_work(
     if command == "eval":
         run_dir = os.path.join(workspace, "run_for_missing_dir")
         assert main(["train", "--manifest", dataset, "--epochs", "1", "--out", run_dir]) == 0
-        target = ["--checkpoint", os.path.join(run_dir, "checkpoint"),
-                  "--report", os.path.join(missing, "r.json")]
+        report_path = os.path.join(missing, "r.json")
+        if report == "directory":
+            report_path = os.path.join(workspace, "report_dir")
+            os.makedirs(report_path, exist_ok=True)
+        target = ["--checkpoint", os.path.join(run_dir, "checkpoint"), "--report", report_path]
 
-    def fail(*args, **kwargs):
-        raise AssertionError(f"{work} ran although the output cannot be written")
+    for work in works:
+        def fail(*args, work=work, **kwargs):
+            raise AssertionError(f"{work} ran although the output cannot be written")
 
-    monkeypatch.setattr(module, work, fail)
+        monkeypatch.setattr(module, work, fail)
     capsys.readouterr()
     assert main([command, "--manifest", dataset] + target) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert open(blocker).read() == "kept" and not os.path.exists(missing)
+    if report == "directory":
+        assert os.listdir(target[-1]) == []
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])

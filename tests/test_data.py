@@ -10,7 +10,7 @@ import pytest
 
 from avloc import autodiff as ad
 from avloc.cli import main
-from avloc.data import (DatasetManifest, FeatureBundle, LabelRecord,
+from avloc.data import (MAGIC, DatasetManifest, FeatureBundle, LabelRecord,
                         ManifestEntry, load_bundle, load_entry, load_manifest,
                         nearest_prototype_accuracy, save_bundle, save_manifest,
                         synth_dataset)
@@ -163,6 +163,23 @@ def test_nonfinite_payload_is_data_error(tmp_path):
         load_bundle(path, manifest)
 
 
+@pytest.mark.parametrize("header, match", [
+    ((0,), "rank 0 outside"),
+    ((5, 1, 1, 1, 1, 1), "rank 5 outside"),
+    ((2, 4, 0), "zero extent"),
+], ids=["rank_0", "rank_5", "zero_extent"])
+def test_block_header_out_of_range_is_format_error(tmp_path, header, match):
+    """A block whose rank is outside 1..4 or that declares a zero extent,
+    followed by a valid payload for the manifest's audio shape."""
+    manifest = small_manifest()
+    path = str(tmp_path / "h.avf")
+    save_bundle(random_bundle(np.random.default_rng(8), manifest), path)
+    raw = open(path, "rb").read()
+    open(path, "wb").write(MAGIC + np.array(header, dtype="<u4").tobytes() + raw[16:])
+    with pytest.raises(FormatError, match=match):
+        load_bundle(path, manifest)
+
+
 # ---------------------------------------------------------------------------
 # labels and manifests
 
@@ -244,6 +261,29 @@ def test_manifest_garbage_is_format_error(tmp_path, case):
     path = str(tmp_path / "manifest.json")
     open(path, "wb").write(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(FormatError, match=names):
+        load_manifest(path)
+    assert main(["train", "--manifest", path, "--out", str(tmp_path / "run")]) == 2
+
+
+BAD_LABELS = {  # case -> (entry fields, error, what the error must name)
+    "labels_shorter_than_T": ({"segment_relevance": [1], "segment_class": [0]},
+                              ConsistencyError, "cover 1 segments"),
+    "label_arrays_of_unequal_length": ({"segment_class": [0, 2, 2]},
+                                       LabelError, "disagree"),
+    "relevance_outside_0_1": ({"segment_relevance": [2, 0]}, LabelError, "0/1"),
+    "class_outside_0_C": ({"segment_class": [0, 3]}, LabelError,
+                          r"segment_class outside \[0, 2\]"),
+    "event_video_of_the_background_class": (
+        {"video_class": 2, "segment_class": [2, 2]}, LabelError, "event video cannot carry"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LABELS))
+def test_manifest_with_bad_labels_is_a_typed_error(tmp_path, case):
+    entry, error, match = BAD_LABELS[case]
+    path = str(tmp_path / "manifest.json")
+    open(path, "w").write(_manifest_text(entry))
+    with pytest.raises(error, match=match):
         load_manifest(path)
     assert main(["train", "--manifest", path, "--out", str(tmp_path / "run")]) == 2
 

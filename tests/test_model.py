@@ -277,13 +277,19 @@ def _signed_zero_normal(rng, shape):
        c_out=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1))
 @example(T=320, h=3, w=3, k=3, c_in=1, c_out=32, seed=1)
 @example(T=20, h=7, w=7, k=1, c_in=512, c_out=1, seed=3)
+@example(T=320, h=3, w=3, k=1, c_in=64, c_out=32, seed=4)
+@example(T=320, h=3, w=3, k=1, c_in=64, c_out=64, seed=5)
+@example(T=320, h=3, w=3, k=1, c_in=64, c_out=1, seed=6)
 def test_conv2d_is_bitwise_its_reference_computations(T, h, w, k, c_in, c_out, seed):
     """Forward, input gradient and kernel gradient against the per-window-row
     forward, the padded-grid input gradient and the padded-input windows,
     bit for bit, on every shape class: a frame smaller than the kernel gives
     taps that lie wholly outside it and row shifts longer than all T*h*w rows.
-    The examples are one-channel products (GEMVs, whose sums depend on the
-    row count) over 2,880 and 980 rows, more than the drawn shapes reach."""
+    The first two examples are one-channel products (GEMVs, whose sums
+    depend on the row count) over 2,880 and 980 rows, more than the drawn
+    shapes reach; the last three are the desk model's 1x1 convs in a
+    mini-batch of 32 videos (2,880 rows), whose kernel gradients are one
+    product against the input's rows."""
     X, K, g, out, gx, gk = _conv_and_gradients(T, h, w, k, c_in, c_out, seed)
     assert out.tobytes() == _per_row_block_conv(X, K).tobytes()
     assert gx.tobytes() == _padded_grid_input_grad(g, K, h, w).tobytes()

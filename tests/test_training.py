@@ -7,6 +7,7 @@ import io
 import json
 import os
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -480,6 +481,10 @@ def _edit_index(edit):
                  ConfigError, "motion", id="unhashable_motion_list"),
     pytest.param(_edit_index(lambda ix: ix["config"].update(motion={})),
                  ConfigError, "motion", id="unhashable_motion_dict"),
+    pytest.param(_edit_index(lambda ix: ix["params"].pop()),
+                 ConsistencyError, "parameter list", id="another_parameter_table"),
+    pytest.param(_edit_index(lambda ix: ix.update(config=[])),
+                 ConfigError, "JSON object", id="config_not_an_object"),
     pytest.param(_write_index(b'{"format": "\xff"}'), FormatError, "JSON", id="index_not_utf8"),
     pytest.param(_write_index(b"[" * 100_000), FormatError, "JSON", id="index_nested_too_deep"),
 ])
@@ -514,7 +519,7 @@ def test_training_writes_report_and_checkpoint(tiny_dataset, tmp_path):
     _, report = train(tiny_config(epochs=2), manifest, base, out_dir=out)
     assert os.path.exists(os.path.join(out, "checkpoint", "params.bin"))
     doc = json.load(open(os.path.join(out, "report.json")))
-    assert doc == json.loads(json.dumps(report.to_dict()))  # losses, accuracy, config, ...
+    assert doc == json.loads(json.dumps(asdict(report)))  # losses, accuracy, config, ...
 
 
 # ---------------------------------------------------------------------------
