@@ -18,7 +18,8 @@ verification only.
 A tape is made for B equal-length videos (`Tape(videos=B)`, default 1),
 whose B*T rows share the leading axis. The ops that work along time read
 the count from the tape, so that softmax over time, the time pools, the time
-slices and concatenations, and the attention product never mix two videos;
+slices and concatenations never mix two videos, and matmul runs one product
+per video, so a video's rows keep the bits they have on a one-video tape;
 every other op works row by row. Code above the engine is written for one
 (T, ...) video and takes no video count.
 """
@@ -178,16 +179,36 @@ def _tape_of(*tensors: Tensor) -> Tape:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs (m,k) x (k,n), got {a.shape} and {b.shape}")
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """One product per video of the tape, (B*m, k) by b to (B*m, n), so each
+    video's rows have the bits of its product on a one-video tape. b is one
+    (k, n) matrix that every video shares, or each video's own block stacked
+    like a's rows: (B*k, n), or (B*n, k) used transposed when `transpose_b`.
+    On one video the two readings coincide."""
     tape = _tape_of(a, b)
-    A, B = a.data, b.data
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
+    sa, sb = a.shape, b.shape
+    A = a.data.reshape(_by_video(sa, tape.videos))
+    shared = not transpose_b and sb[0] == sa[1]
+    B = b.data if shared else b.data.reshape(_by_video(sb, tape.videos))
+    if transpose_b:  # a contiguous copy: over the transposed view the bits could differ
+        B = np.ascontiguousarray(B.transpose(0, 2, 1))
+    if B.shape[-2] != sa[1]:
+        raise ShapeError(f"matmul over {tape.videos} videos cannot multiply {sa} by "
+                         f"{sb}{' transposed' if transpose_b else ''}")
+    out = A @ B
 
-    def backward(g, needed):
-        return g @ B.T if needed[0] else None, A.T @ g if needed[1] else None
+    def backward(g, needed, view=out.shape):
+        # a shared b keeps flat products, faster than one per video (README)
+        G, X = (g, A.reshape(sa)) if shared else (g.reshape(view), A)
+        ga = (G @ B.swapaxes(-1, -2)).reshape(sa) if needed[0] else None
+        if not needed[1]:
+            return ga, None
+        gb = G.swapaxes(-1, -2) @ X if transpose_b else X.swapaxes(-1, -2) @ G
+        return ga, gb.reshape(sb)
 
-    return tape._record(A @ B, (a.node_id, b.node_id), backward)
+    return tape._record(out.reshape(-1, out.shape[2]), (a.node_id, b.node_id), backward)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -201,39 +222,6 @@ def _by_video(shape: tuple[int, ...], videos: int) -> tuple[int, ...]:
     if videos < 1 or shape[0] % videos:
         raise ShapeError(f"{shape[0]} rows do not split into {videos} equal videos")
     return (videos, shape[0] // videos) + tuple(shape[1:])
-
-
-def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """One product per video of two time-indexed operands: (B*m, k) x (B*k, n),
-    or x (B*n, k) transposed when `transpose_b`, gives (B*m, n).
-
-    Each video's rows have the bits its product has on a one-video tape, and
-    those are the bits of `matmul(a, b)` (or of `matmul(a, transpose(b))`).
-    """
-    tape = _tape_of(a, b)
-    videos = tape.videos
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"batched_matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    sa, sb = a.shape, b.shape
-    A3, B3 = a.data.reshape(_by_video(sa, videos)), b.data.reshape(_by_video(sb, videos))
-    # a contiguous copy: over b's transposed view the bits would not be matmul's
-    Bm = np.ascontiguousarray(B3.transpose(0, 2, 1)) if transpose_b else B3
-    if A3.shape[2] != Bm.shape[1]:
-        raise ShapeError(f"batched_matmul over {videos} videos cannot multiply {sa} by "
-                         f"{sb}{' transposed' if transpose_b else ''}")
-    out = A3 @ Bm
-
-    def backward(g, needed, view=out.shape):
-        g3 = g.reshape(view)
-        ga = gb = None
-        if needed[0]:
-            ga = (g3 @ Bm.transpose(0, 2, 1)).reshape(sa)
-        if needed[1]:
-            gb = g3.transpose(0, 2, 1) @ A3 if transpose_b else A3.transpose(0, 2, 1) @ g3
-            gb = gb.reshape(sb)
-        return ga, gb
-
-    return tape._record(out.reshape(-1, out.shape[2]), (a.node_id, b.node_id), backward)
 
 
 def _zero_edges(a: np.ndarray, oi: int, oj: int) -> None:

@@ -36,10 +36,10 @@ def cross_modal_attend(query_seq: ad.Tensor, context_seq: ad.Tensor,
     q = ad.matmul(query_seq, query_proj)                        # (T, d_m)
     k = ad.matmul(merged, key_proj)                             # (2T, d_m)
     v = ad.matmul(merged, value_proj)                           # (2T, d_out)
-    scores = ad.scale(ad.batched_matmul(q, k, transpose_b=True),
+    scores = ad.scale(ad.matmul(q, k, transpose_b=True),
                       1.0 / math.sqrt(q.shape[1]))             # (T, 2T)
     weights = ad.softmax(scores, axis=1)
-    return ad.batched_matmul(weights, v), {"weights": weights}
+    return ad.matmul(weights, v), {"weights": weights}
 
 
 def relation_aware(audio_seq: ad.Tensor, visual_seq: ad.Tensor,

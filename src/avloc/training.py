@@ -9,6 +9,7 @@ shuffled order, so every reduction over the batch runs in a fixed order.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -222,6 +223,11 @@ def _score(params: ModelParams, cfg: ModelConfig, manifest: DatasetManifest,
 # checkpoints
 
 
+def _params_sha256(ckpt_dir: str) -> str:
+    with open(os.path.join(ckpt_dir, "params.bin"), "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def save_checkpoint(ckpt_dir: str, params: ModelParams, cfg: ModelConfig) -> None:
     """One binary container of consecutive tensor blocks plus a JSON index."""
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -232,6 +238,7 @@ def save_checkpoint(ckpt_dir: str, params: ModelParams, cfg: ModelConfig) -> Non
         "seed": params.seed,
         "config": asdict(cfg),
         "params": [{"name": n, "shape": list(a.shape)} for n, a in items],
+        "params_sha256": _params_sha256(ckpt_dir),
     }
     with synced_open(os.path.join(ckpt_dir, "index.json")) as f:
         json.dump(index, f, indent=1)
@@ -258,6 +265,9 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ModelParams, ModelConfig]:
     for (name, _), arr in zip(table, arrays):
         if not np.isfinite(arr).all():
             raise DataError(f"{ckpt_dir}: parameter {name!r} in params.bin is not finite")
+    # an index saved before checksums were stored has none
+    if index.get("params_sha256") not in (None, _params_sha256(ckpt_dir)):
+        raise ConsistencyError(f"{ckpt_dir}: params.bin does not match the sha256 in index.json")
     return ModelParams({name: arr for (name, _), arr in zip(table, arrays)}, seed), cfg
 
 

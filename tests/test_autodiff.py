@@ -300,14 +300,13 @@ def test_combine_incompatible_shapes():
     (ad.sub, [(2, 2), (2, 2)]),
     (ad.mul, [(2, 2), (2, 2)]),
     (ad.matmul, [(2, 3), (3, 4)]),
-    (ad.batched_matmul, [(2, 3), (3, 4)]),
-    (lambda a, b: ad.batched_matmul(a, b, transpose_b=True), [(2, 3), (4, 3)]),
+    (lambda a, b: ad.matmul(a, b, transpose_b=True), [(2, 3), (4, 3)]),
     (ad.conv2d, [(2, 3, 3, 2), (3, 3, 2, 4)]),
     (lambda a, b: ad.concat(a, b, axis=0), [(2, 3), (4, 3)]),
     (lambda a, b: ad.concat(a, b, axis=1), [(2, 3), (2, 4)]),
     (ad.neighbor_motion, [(2, 3, 3, 2), (3, 3, 2, 2), (3, 3, 2, 2)]),
-], ids=["add", "sub", "mul", "matmul", "batched_matmul", "batched_matmul_transpose_b",
-        "conv2d", "concat_axis0", "concat_axis1", "neighbor_motion"])
+], ids=["add", "sub", "mul", "matmul", "matmul_transpose_b", "conv2d", "concat_axis0",
+        "concat_axis1", "neighbor_motion"])
 def test_operands_must_share_a_tape(op, shapes):
     """The shapes fit, so an operand on another tape is the only fault: a
     contract error, not a shape error."""
@@ -533,9 +532,9 @@ def _over_videos(videos, op):
     ((3, 1), (3, 4), ad.mul),
     ((2, 3), (4, 3), lambda a, b: ad.concat(a, b, 0)),
     ((2, 3, 3, 2), (3, 3, 2, 2), ad.conv2d),
-    ((3 * 2, 4), (3 * 5, 4),
-     _over_videos(3, lambda a, b: ad.batched_matmul(a, b, transpose_b=True))),
-    ((2 * 3, 5), (2 * 5, 4), _over_videos(2, lambda a, b: ad.batched_matmul(a, b))),
+    ((3 * 2, 4), (3 * 5, 4), _over_videos(3, lambda a, b: ad.matmul(a, b, transpose_b=True))),
+    ((2 * 3, 5), (2 * 5, 4), _over_videos(2, lambda a, b: ad.matmul(a, b))),
+    ((2 * 3, 5), (5, 4), _over_videos(2, lambda a, b: ad.matmul(a, b))),  # shared weight
     ((2 * 3, 4), (2 * 1, 4), _over_videos(2, lambda a, b: ad.concat(a, b, 0))),
 ])
 def test_binary_op_gradients_match_finite_differences(shape_x, shape_y, op):
@@ -639,34 +638,80 @@ def test_time_ops_over_videos_match_a_loop_over_videos(videos):
         npt.assert_array_equal(got.data, want)
 
 
-def test_batched_matmul_multiplies_each_video_by_its_own_block():
+def test_matmul_multiplies_each_video_by_its_own_block():
     rng = np.random.default_rng(22)
     a = rng.normal(size=(3 * 2, 4))
     b = rng.normal(size=(3 * 5, 4))
     t = ad.Tape("f64", videos=3)
-    out = ad.batched_matmul(t.leaf(a), t.leaf(b), transpose_b=True)
+    out = ad.matmul(t.leaf(a), t.leaf(b), transpose_b=True)
     want = np.concatenate([p @ q.T for p, q in zip(np.split(a, 3), np.split(b, 3))])
     assert out.shape == (6, 5)
     npt.assert_allclose(out.data, want, rtol=0, atol=1e-12)
-    with pytest.raises(ShapeError):
-        ad.batched_matmul(t.leaf(a), t.leaf(b))  # (2, 4) x (5, 4) per video
-    t4 = ad.Tape("f64", videos=4)
-    with pytest.raises(ShapeError):
-        ad.batched_matmul(t4.leaf(a), t4.leaf(b), transpose_b=True)  # 6 rows, 4 videos
 
 
-@pytest.mark.parametrize("a_shape, b_shape, transpose_b", [
-    ((3, 4), (5, 4), True), ((3, 5), (5, 4), False),
-    ((10, 64), (20, 64), True), ((10, 20), (20, 64), False),  # desk attention scores, mixing
+@pytest.mark.parametrize("videos, a_shape, b_shape, transpose_b", [
+    (3, (3 * 2, 4), (3 * 5, 4), False),  # 15 rows: neither k = 4 nor 3 * 4
+    (3, (3 * 2, 4), (14, 4), True),      # 14 rows do not split into 3 videos
+    (3, (3 * 2, 4), (3 * 5, 3), True),   # each video's (5, 3) block has 3 columns, not k = 4
+    (4, (3 * 2, 4), (4, 5), False),      # a's 6 rows do not split into 4 videos
 ])
-def test_batched_matmul_of_one_video_is_matmul(a_shape, b_shape, transpose_b):
+def test_matmul_operands_must_fit_one_reading(videos, a_shape, b_shape, transpose_b):
+    """b is one (k, n) weight or each video's own block: anything else is a
+    shape error."""
+    t = ad.Tape(videos=videos)
+    with pytest.raises(ShapeError):
+        ad.matmul(t.leaf(np.ones(a_shape)), t.leaf(np.ones(b_shape)), transpose_b=transpose_b)
+
+
+# one video's operands at the model's product shapes, and whether b is that
+# video's own block: the heads' shared weights (relevance, weak logits, the
+# max-pooled class head's one row per video) and the attention's scores and mixing
+PRODUCT_SHAPES = [((10, 128), (128, 1), False, False), ((10, 128), (128, 5), False, False),
+                  ((1, 128), (128, 4), False, False), ((10, 512), (512, 1), False, False),
+                  ((10, 64), (20, 64), True, True), ((10, 20), (20, 64), True, False)]
+
+
+@pytest.mark.parametrize("a_shape, b_shape, own, transpose_b", [
+    ((3, 4), (5, 4), True, True), ((3, 5), (5, 4), False, False)] + PRODUCT_SHAPES)
+def test_matmul_of_one_video_is_the_plain_product(a_shape, b_shape, own, transpose_b):
     rng = np.random.default_rng(23)
     a, b = rng.normal(size=a_shape).astype(np.float32), rng.normal(size=b_shape).astype(np.float32)
     t = ad.Tape()
-    ta, tb = t.leaf(a), t.leaf(b)
-    out = ad.batched_matmul(ta, tb, transpose_b=transpose_b)
-    want = ad.matmul(ta, t.leaf(np.ascontiguousarray(b.T)) if transpose_b else tb)
-    assert out.data.tobytes() == want.data.tobytes()
+    out = ad.matmul(t.leaf(a), t.leaf(b), transpose_b=transpose_b)
+    want = a @ (np.ascontiguousarray(b.T) if transpose_b else b)
+    assert out.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("videos", [7, 32])
+@pytest.mark.parametrize("a_shape, b_shape, own, transpose_b", PRODUCT_SHAPES)
+def test_matmul_gives_each_video_its_one_video_bits(videos, a_shape, b_shape, own, transpose_b):
+    rng = np.random.default_rng(25)
+    a = rng.normal(size=(videos * a_shape[0], a_shape[1])).astype(np.float32)
+    b = rng.normal(size=(videos * b_shape[0], b_shape[1]) if own else b_shape)
+    b = b.astype(np.float32)
+    t = ad.Tape(videos=videos)
+    out = ad.matmul(t.leaf(a), t.leaf(b), transpose_b=transpose_b).data
+    for i, rows in enumerate(np.split(a, videos)):
+        one = ad.Tape()
+        block = np.split(b, videos)[i] if own else b
+        want = ad.matmul(one.leaf(rows), one.leaf(block), transpose_b=transpose_b)
+        assert out[i * a_shape[0]:(i + 1) * a_shape[0]].tobytes() == want.data.tobytes(), i
+
+
+@pytest.mark.parametrize("videos", [7, 32])
+@pytest.mark.parametrize("a_shape, b_shape", [((10, 128), (128, 5)), ((1, 128), (128, 4))])
+def test_shared_weight_gradients_are_the_flat_products(videos, a_shape, b_shape):
+    """Only the forward runs per video: a shared weight's backward keeps one
+    product over all the tape's rows for each operand."""
+    rng = np.random.default_rng(26)
+    a = rng.normal(size=(videos * a_shape[0], a_shape[1])).astype(np.float32)
+    w = rng.normal(size=b_shape).astype(np.float32)
+    g = rng.normal(size=(len(a), b_shape[1])).astype(np.float32)
+    t = ad.Tape(videos=videos)
+    ta, tw = t.leaf(a), t.leaf(w)
+    ga, gw = t.backward(ad.sum_all(ad.mul(ad.matmul(ta, tw), t.leaf(g))), [ta, tw])
+    assert ga.tobytes() == (g @ w.T).tobytes()
+    assert gw.tobytes() == (a.T @ g).tobytes()
 
 
 @pytest.mark.parametrize("videos,op", [

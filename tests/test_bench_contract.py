@@ -45,8 +45,8 @@ def test_traced_batched_training_and_predict_run_through_the_tracer(tmp_path):
     assert tracer.leftover_wrappers() == []
 
 
-@pytest.mark.xfail(strict=True, reason="perfbench's OPS omits batched_matmul and "
-                   "neighbor_motion (ROADMAP item 4 derives OPS from the module)")
+@pytest.mark.xfail(strict=True, reason="perfbench's OPS omits neighbor_motion "
+                   "(ROADMAP item 4 derives OPS from the module)")
 def test_every_public_tensor_op_is_traced():
     ops = {name for name, obj in vars(ad).items()
            if not name.startswith("_") and inspect.isfunction(obj)

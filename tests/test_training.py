@@ -6,8 +6,9 @@ import gc
 import io
 import json
 import os
+import shutil
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -440,6 +441,15 @@ def _nan_last_param(ckpt):
     open(bin_path, "wb").write(raw[:-4] + np.array(np.nan, dtype="<f4").tobytes())
 
 
+def _params_of_another_checkpoint(ckpt):
+    """A torn checkpoint: another run's params.bin, whose blocks parse and are
+    finite, beside this run's index."""
+    cfg = replace(tiny_config().model, motion="future_only")
+    other = ckpt + "_other"
+    save_checkpoint(other, init_params(cfg, seed=2), cfg)
+    shutil.copyfile(os.path.join(other, "params.bin"), os.path.join(ckpt, "params.bin"))
+
+
 def _write_index(raw):
     return lambda ckpt: open(os.path.join(ckpt, "index.json"), "wb").write(raw)
 
@@ -459,6 +469,8 @@ def _edit_index(edit):
                  FormatError, "trailing bytes", id="trailing_params_bytes"),
     pytest.param(_nan_last_param, DataError, r"'head\.event_bias' in params\.bin is not finite",
                  id="nan_param"),
+    pytest.param(_params_of_another_checkpoint, ConsistencyError, "sha256",
+                 id="params_of_another_checkpoint"),
     pytest.param(_edit_index(lambda ix: ix["config"].update(colour="red")),
                  ConfigError, "colour", id="unknown_config_key"),
     pytest.param(_edit_index(lambda ix: ix.pop("seed")),
