@@ -125,7 +125,9 @@ class Tape:
         nothing differentiable left for a second-order pass and asking for
         one is a contract violation. Each rule is dropped once it has run,
         and with it the forward arrays it held, so memory falls as the sweep
-        moves back through the tape.
+        moves back through the tape. Only a gradient that is not C-ordered is
+        copied, so two leaves' gradients may be one array (the two operands
+        of an add): a caller must not write into a gradient.
         """
         if loss.tape is not self:
             raise ContractError("loss tensor lives on a different tape")
@@ -163,7 +165,7 @@ class Tape:
                 if reach[input_id]:
                     seen = grads.get(input_id)
                     grads[input_id] = gin if seen is None else seen + gin
-        return [np.array(grads[t.node_id], order="C") if t.node_id in grads
+        return [np.ascontiguousarray(grads[t.node_id]) if t.node_id in grads
                 else np.zeros_like(t.data) for t in leaves]
 
 
@@ -325,31 +327,16 @@ def _conv_kernel_grads(X: np.ndarray, gs: Sequence[np.ndarray], k: int) -> list[
     of k x k convs of the same input X, from one im2col of X (X's own rows
     for a 1x1 kernel) that all of gs share.
 
-    Each gradient is one product against it, with the k*k taps along the
-    product's columns. A value then sums the same products over the same
-    rows as a per-tap product, but BLAS may run the two products through
-    other kernels, and their bits agree only at some sizes (see the README's
-    motion section): the desk model's kernel gradients keep the per-tap bits
-    in mini-batches of 32 videos but not of 5-10. With k > 1, a product with
-    one channel on either side is a GEMV, whose sums depend on how the taps
-    are laid out: those take one product per tap, over a contiguous copy of
-    the tap's columns.
+    Each gradient is one product `cols.T @ g_rows`, with the k*k taps along
+    its rows, so it comes out in the kernel's own (k, k, c_in, c_out) layout.
+    A value sums the same products over the same rows as a per-tap product,
+    but BLAS may run the two through other kernels, and their bits agree
+    only at some sizes (see the README's motion section).
     """
     c_in = X.shape[3]
     cols = _im2col(X, k) if k > 1 else X.reshape(-1, c_in)
-    out = []
-    for g in gs:
-        c_out = g.shape[-1]
-        g_rows = g.reshape(-1, c_out)
-        if k == 1 or min(c_in, c_out) >= 2:
-            out.append((g_rows.T @ cols).reshape(c_out, k, k, c_in).transpose(1, 2, 3, 0))
-            continue
-        gk = np.empty((k * k, c_in, c_out), dtype=X.dtype)
-        for tap in range(k * k):
-            window = np.ascontiguousarray(cols[:, tap * c_in:(tap + 1) * c_in])
-            gk[tap] = window.T @ g_rows
-        out.append(gk.reshape(k, k, c_in, c_out))
-    return out
+    return [(cols.T @ g.reshape(-1, g.shape[-1])).reshape(k, k, c_in, g.shape[-1])
+            for g in gs]
 
 
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -362,7 +349,9 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     output shifted by the tap's offset. Each output value sums the same dot
     products in the same tap order as a product per window row; where BLAS
     gives each row the same sum at any row count (every conv of the
-    desk-scale model), the bits are those of that computation too.
+    desk-scale model), the bits are those of that computation too. A k > 1
+    conv with one output channel does not get those bits: its GEMV sum of a
+    window row depends on where the row sits in its block of w rows.
     """
     _check_conv(x.shape, kernel.shape)
     tape = _tape_of(x, kernel)

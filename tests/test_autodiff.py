@@ -431,14 +431,34 @@ def test_backward_skips_inputs_that_reach_no_requested_leaf():
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_backward_returns_c_ordered_gradients(k):
-    """A conv's kernel gradient is a transposed product. Adam's elementwise
-    updates against its C-ordered moments are slower over that layout (a
-    real-dims step took about 1.5x as long), so the tape hands every
-    gradient back in C order."""
+    """A conv's kernel gradient comes out of its one product in the kernel's
+    own layout. Adam's elementwise updates against its C-ordered moments are
+    slower over another layout (a real-dims step took about 1.5x as long
+    over a transposed one), so every gradient the tape hands back is in C
+    order."""
     t = ad.Tape()
     x, kernel = t.leaf(np.ones((2, 3, 3, 4))), t.leaf(np.ones((k, k, 4, 5)))
     gk, = t.backward(ad.sum_all(ad.conv2d(x, kernel)), [kernel])
     assert gk.shape == (k, k, 4, 5) and gk.flags.c_contiguous
+
+
+@pytest.mark.parametrize("videos,op,picked", [
+    (1, lambda t, x: ad.transpose(x), lambda mix: mix.T),
+    (2, lambda t, x: ad.concat(x, t.leaf(np.ones((4, 2))), axis=1), lambda mix: mix[:, :3]),
+    (2, lambda t, x: ad.concat(t.leaf(np.ones((4, 2))), x, axis=1), lambda mix: mix[:, 2:]),
+], ids=["transpose", "concat_head", "concat_tail"])
+def test_backward_hands_views_back_in_c_order(videos, op, picked):
+    """transpose's and a column concat's rules return views that are not
+    C-ordered; a leaf fed to either gets a C-ordered gradient with its
+    values: the entries of the output's gradient that it fed."""
+    rng = np.random.default_rng(14)
+    t = ad.Tape(videos=videos)
+    x = t.leaf(rng.normal(size=(4, 3)))
+    out = op(t, x)
+    mix = rng.normal(size=out.shape).astype(np.float32)
+    gx, = t.backward(ad.sum_all(ad.mul(out, t.leaf(mix))), [x])
+    assert gx.flags.c_contiguous
+    npt.assert_array_equal(gx, picked(mix))
 
 
 def test_backward_of_add_is_passthrough():

@@ -280,20 +280,33 @@ def _signed_zero_normal(rng, shape):
 @example(T=320, h=3, w=3, k=1, c_in=64, c_out=32, seed=4)
 @example(T=320, h=3, w=3, k=1, c_in=64, c_out=64, seed=5)
 @example(T=320, h=3, w=3, k=1, c_in=64, c_out=1, seed=6)
+@example(T=1, h=1, w=5, k=3, c_in=5, c_out=1, seed=1)
 def test_conv2d_is_bitwise_its_reference_computations(T, h, w, k, c_in, c_out, seed):
     """Forward, input gradient and kernel gradient against the per-window-row
-    forward, the padded-grid input gradient and the padded-input windows,
-    bit for bit, on every shape class: a frame smaller than the kernel gives
-    taps that lie wholly outside it and row shifts longer than all T*h*w rows.
-    The first two examples are one-channel products (GEMVs, whose sums
-    depend on the row count) over 2,880 and 980 rows, more than the drawn
-    shapes reach; the last three are the desk model's 1x1 convs in a
-    mini-batch of 32 videos (2,880 rows), whose kernel gradients are one
-    product against the input's rows."""
+    forward, the padded-grid input gradient and the padded-input windows on
+    every shape class: a frame smaller than the kernel gives taps that lie
+    wholly outside it and row shifts longer than all T*h*w rows.
+
+    Each is bit for bit except where a k > 1 product has one channel (a
+    GEMV, whose sums depend on the row count and layout): the forward with
+    one output channel and the kernel gradient with one channel on either
+    side agree to f32 rounding only. The first two examples are one-channel
+    products over 2,880 and 980 rows, more than the drawn shapes reach; the
+    next three are the desk model's 1x1 convs in a mini-batch of 32 videos
+    (2,880 rows); the last is a one-output-channel 3x3 conv whose forward
+    differs from the per-window-row bits."""
     X, K, g, out, gx, gk = _conv_and_gradients(T, h, w, k, c_in, c_out, seed)
-    assert out.tobytes() == _per_row_block_conv(X, K).tobytes()
+    _assert_bits_or_close(out, _per_row_block_conv(X, K), bitwise=k == 1 or c_out > 1)
     assert gx.tobytes() == _padded_grid_input_grad(g, K, h, w).tobytes()
-    assert gk.tobytes() == _window_kernel_grad(X, g, k).tobytes()
+    _assert_bits_or_close(gk, _window_kernel_grad(X, g, k),
+                          bitwise=k == 1 or min(c_in, c_out) > 1)
+
+
+def _assert_bits_or_close(got, want, bitwise):
+    if bitwise:
+        assert got.tobytes() == want.tobytes()
+    else:
+        npt.assert_allclose(got, want, rtol=1e-5, atol=1e-3)
 
 
 def test_one_output_channel_conv_gradients_are_bitwise_at_2880_rows():
@@ -301,8 +314,10 @@ def test_one_output_channel_conv_gradients_are_bitwise_at_2880_rows():
     against their references, bit for bit. Its forward is not the
     per-window-row computation's bits at this shape: a window row's GEMV
     sum depends on where the row sits in its block of w rows, and the tap
-    sum multiplies the input's rows, not the padded windows'. No conv of
-    the model has k > 1 and one output channel."""
+    sum multiplies the input's rows, not the padded windows'. The kernel
+    gradient's one product has the per-tap bits at this shape, though not
+    at every one-channel shape. No conv of the model has k > 1 and one
+    output channel."""
     X, K, g, _, gx, gk = _conv_and_gradients(320, 3, 3, 3, 32, 1, seed=2)
     assert gx.tobytes() == _padded_grid_input_grad(g, K, 3, 3).tobytes()
     assert gk.tobytes() == _window_kernel_grad(X, g, 3).tobytes()

@@ -316,6 +316,25 @@ def test_adam_steps_are_bitwise_the_textbook_formula(dims):
                    for n in m)
 
 
+def test_adam_steps_over_read_only_and_shared_gradients():
+    """`Tape.backward` may hand two leaves one gradient array, so Adam only
+    reads gradients: steps over read-only ones, one array shared by two
+    parameters of a shape, match steps over private writable copies."""
+    params, ref = init_params(ModelConfig(), seed=4), init_params(ModelConfig(), seed=4)
+    rng = np.random.default_rng(4)
+    grads = {n: rng.normal(size=a.shape).astype(np.float32) for n, a in params.items()}
+    grads["motion.future_kernel"] = grads["motion.past_kernel"]
+    for g in grads.values():
+        g.setflags(write=False)
+    before = {n: g.copy() for n, g in grads.items()}
+    opt, ref_opt = Adam(params, 5e-4), Adam(ref, 5e-4)
+    for _ in range(2):
+        opt.step(params, grads)
+        ref_opt.step(ref, {n: g.copy() for n, g in before.items()})
+    assert all(a.tobytes() == ref.arrays[n].tobytes() for n, a in params.items())
+    assert all(g.tobytes() == before[n].tobytes() for n, g in grads.items())
+
+
 def test_loss_curve_is_monotone_on_noiseless_data(tmp_path):
     base = str(tmp_path / "clean")
     manifest, _ = synth_dataset(base, seed=1, n_videos=8, snr=float("inf"), **TINY)
