@@ -78,7 +78,6 @@ class Tape:
             raise ConfigError(f"precision must be one of {sorted(_DTYPES)}, got {precision!r}")
         if not (_is_int(videos) and videos >= 1):
             raise ConfigError(f"videos must be an int >= 1, got {videos!r}")
-        self.precision = precision
         self.videos = videos
         self.dtype = _DTYPES[precision]
         self._inputs: list[tuple[int, ...]] = []
@@ -221,7 +220,7 @@ def transpose(x: Tensor) -> Tensor:
 
 def _by_video(shape: tuple[int, ...], videos: int) -> tuple[int, ...]:
     """The (B, T, ...) view of a (B*T, ...) shape that folds B videos."""
-    if videos < 1 or shape[0] % videos:
+    if shape[0] % videos:
         raise ShapeError(f"{shape[0]} rows do not split into {videos} equal videos")
     return (videos, shape[0] // videos) + tuple(shape[1:])
 

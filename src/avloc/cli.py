@@ -104,6 +104,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "eval":
+        if not args.report:
+            raise ConfigError("--report is empty: it must name a file")
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.report))):
             raise ConfigError(f"--report {args.report}: its directory does not exist")
         if os.path.isdir(args.report):

@@ -213,7 +213,7 @@ def _is_str(value) -> bool:
 
 
 def _is_path(value) -> bool:
-    return isinstance(value, str) and "\0" not in value
+    return isinstance(value, str) and value != "" and "\0" not in value
 
 
 def _is_int_list(value) -> bool:
@@ -247,7 +247,7 @@ def load_manifest(path: str) -> DatasetManifest:
             entries=[
                 ManifestEntry(
                     video_id=_field(path, e, "video_id", _is_str, "a string"),
-                    path=_field(path, e, "path", _is_path, "a string without NUL"),
+                    path=_field(path, e, "path", _is_path, "a non-empty string without NUL"),
                     label=LabelRecord(
                         video_class=_field(path, e, "video_class", _is_int, "an integer"),
                         segment_relevance=np.array(_field(

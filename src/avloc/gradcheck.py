@@ -218,7 +218,8 @@ def _head_checks(rng) -> list[CheckResult]:
     def weak():
         video_class = int(rng.integers(_C + 1))
         return _fixed(rng, lambda fused, cw, cb: heads.weak_aggregate_loss(
-            heads.weak_class_distribution(ad.add(ad.matmul(fused, cw), cb)), video_class),
+            heads.weak_class_distribution(heads.per_segment_logits(
+                fused, {"class_weight": cw, "class_bias": cb})), video_class),
             (_T, width), (width, _C + 1), (1, _C + 1))()
 
     return (_family(rng, "heads.supervised_loss", supervised, loss=True)
@@ -244,7 +245,7 @@ def _model_checks(rng) -> list[CheckResult]:
                               audio, visual, _MINI)
             loss = heads.supervised_loss(fwd.class_probs, fwd.event_scores,
                                          video_class, relevance)
-            return loss, fwd.leaf_list()
+            return loss, list(fwd.leaves.values())
 
         results.append(check_gradients(f"model.supervised_loss[{p}]", build, arrays))
     return results

@@ -212,9 +212,6 @@ class ForwardPass:
     event_scores: ad.Tensor  # (T, 1)
     stages: dict[str, ad.Tensor]
 
-    def leaf_list(self) -> list[ad.Tensor]:
-        return list(self.leaves.values())
-
 
 def run_forward(tape: ad.Tape, params: ModelParams, audio: np.ndarray,
                 visual: np.ndarray, cfg: ModelConfig) -> ForwardPass:

@@ -112,9 +112,8 @@ def _batch_loss(params: ModelParams, cfg: ModelConfig, bundles: list[FeatureBund
         loss = heads.supervised_loss(
             fwd.class_probs, fwd.event_scores, classes,
             np.concatenate([label.segment_relevance for label in labels]))
-    names = list(fwd.leaves.keys())
-    grads = tape.backward(loss, fwd.leaf_list())
-    return loss.item(), dict(zip(names, grads)), fwd
+    grads = tape.backward(loss, list(fwd.leaves.values()))
+    return loss.item(), dict(zip(fwd.leaves, grads)), fwd
 
 
 def _first_nonfinite_stage(fwd: ForwardPass) -> str:

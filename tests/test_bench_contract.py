@@ -46,7 +46,7 @@ def test_traced_batched_training_and_predict_run_through_the_tracer(tmp_path):
 
 
 @pytest.mark.xfail(strict=True, reason="perfbench's OPS omits neighbor_motion "
-                   "(ROADMAP item 4 derives OPS from the module)")
+                   "(ROADMAP item 7 derives OPS from the module)")
 def test_every_public_tensor_op_is_traced():
     ops = {name for name, obj in vars(ad).items()
            if not name.startswith("_") and inspect.isfunction(obj)

@@ -180,13 +180,23 @@ def test_every_file_train_eval_and_ablate_write_is_synced(dataset, workspace, mo
     (["train", "--seed", "-1"], "seed"),
     (["ablate", "--seeds=-1,2"], "seed"),
     (["ablate", "--seeds", "-1,2"], "seed must be an int >= 0, got -1"),
+    (["eval", "--checkpoint", "unread", "--report", ""], "--report is empty"),
 ], ids=["zero_snr", "negative_snr", "negative_videos", "unparsable_seeds",
         "negative_synth_seed", "negative_train_seed", "negative_ablate_seed",
-        "negative_ablate_seed_separate_value"])
-def test_bad_cli_input_is_a_typed_error(dataset, workspace, capsys, command,
+        "negative_ablate_seed_separate_value", "empty_report"])
+def test_bad_cli_input_is_a_typed_error(dataset, workspace, capsys, monkeypatch, command,
                                         message):
+    """Each exits 2 with a typed error before a checkpoint is read or a
+    video evaluated."""
+    for work in ("load_checkpoint", "evaluate"):
+        def fail(*args, work=work):
+            raise AssertionError(f"{work} ran although the input is bad")
+
+        monkeypatch.setattr(cli, work, fail)
     out = os.path.join(workspace, "bad_input")
-    target = ["--out", out] + (["--manifest", dataset] if command[0] != "synth" else [])
+    target = [] if command[0] == "eval" else ["--out", out]
+    if command[0] != "synth":
+        target += ["--manifest", dataset]
     assert main(command + target) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)

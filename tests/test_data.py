@@ -249,6 +249,7 @@ GARBAGE_MANIFESTS = {  # case -> (manifest text, what the error must name)
     "int_version": (_manifest_text(version=3), "'version'"),
     "null_version": (_manifest_text(version=None), "'version'"),
     "nul_in_path": (_manifest_text({"path": "vid\u0000.avf"}), "'path'"),
+    "empty_path": (_manifest_text({"path": ""}), "'path'"),
     "invalid_utf8": (b'{"version": "\xff"}', "JSON"),
     "nested_too_deep": ("[" * 100_000, "JSON"),
     "int_beyond_the_digit_limit": ('{"classes": ' + "9" * 5000 + "}", "JSON"),
